@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 )
 
@@ -221,59 +219,5 @@ func TestVCFaultConservation(t *testing.T) {
 	}
 	if r.Stalls == 0 {
 		t.Error("no stalls recorded at the dead link")
-	}
-}
-
-// Golden determinism: a fixed seed must produce a byte-identical Result
-// and byte-identical trace across repeated runs - this guards the
-// simulator against accidental use of the global math/rand source, whose
-// consumption between runs would make them diverge.
-func TestGoldenDeterminism(t *testing.T) {
-	n := 4
-	rows := 1 << uint(n)
-	moduleOf := make([]int, n*rows)
-	for col := 0; col < n; col++ {
-		for row := 0; row < rows; row++ {
-			moduleOf[col*rows+row] = row / 4
-		}
-	}
-	run := func(faulted bool, buffers int) (string, string) {
-		var trace bytes.Buffer
-		p := Params{
-			N: n, Lambda: 0.12, Warmup: 40, Cycles: 300, Seed: 99,
-			ModuleOf: moduleOf, Trace: &trace, BufferLimit: buffers,
-		}
-		if faulted {
-			fm := newStubFaults(n)
-			fm.nodes[7] = true
-			fm.links[[2]int{rows + 2, 1}] = true
-			fm.repairCycle = 120
-			p.Faults = fm
-			p.TTL = 64
-		}
-		r, err := Simulate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%#v", *r), trace.String()
-	}
-	for _, cfg := range []struct {
-		name    string
-		faulted bool
-		buffers int
-	}{
-		{"plain", false, 0},
-		{"faulted", true, 0},
-		{"vc", false, 2},
-		{"vc-faulted", true, 2},
-	} {
-		r1, t1 := run(cfg.faulted, cfg.buffers)
-		r2, t2 := run(cfg.faulted, cfg.buffers)
-		if r1 != r2 {
-			t.Errorf("%s: same seed, different Result:\n%s\nvs\n%s", cfg.name, r1, r2)
-		}
-		if t1 != t2 {
-			t.Errorf("%s: same seed, different trace bytes", cfg.name)
-		}
 	}
 }
