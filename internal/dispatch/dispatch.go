@@ -742,6 +742,12 @@ func (c *coordinator) deliver(g *group, res *routing.Result, worker int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.JournalRecords += appended
+	if c.aborted {
+		// The abort landed while this answer was being journaled: the
+		// record survives on disk, as a killed process's would, but the
+		// run no longer counts it.
+		return
+	}
 	if _, dup := c.done[g.indices[0]]; dup {
 		c.stats.DupDeliveries++
 		return
