@@ -55,10 +55,11 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # The simulator hot-loop budget (EXPERIMENTS.md E24): ns/cycle from the
-# benchmark, and the steady-state zero-allocation guard that backs the
-# hotalloc analyzer.
+# benchmark, five samples per mode so a before/after comparison is a
+# median with its spread, and the steady-state zero-allocation guard
+# that backs the hotalloc analyzer.
 bench-alloc:
-	$(GO) test -run '^$$' -bench BenchmarkStepAllocs -benchtime 3x ./internal/routing
+	$(GO) test -run '^$$' -bench BenchmarkStepAllocs -benchtime 3x -count 5 ./internal/routing
 	$(GO) test -run TestStepAllocsZero -count=1 ./internal/routing
 
 # Machine-readable hot-loop snapshot (ns/cycle, allocs/cycle per

@@ -2,8 +2,8 @@
 // simulator per-cycle loops allocation-free. The ROADMAP's north star is
 // a simulator "as fast as the hardware allows"; a single allocation per
 // cycle multiplies into millions per sweep and dominates the profile.
-// The two hot loops (the cycle loops of the plain and VC simulators)
-// carry a `//bflint:hotpath` marker comment; inside a marked loop the
+// The hot loop (the simulator cycle loop, shared by both buffer modes)
+// carries a `//bflint:hotpath` marker comment; inside a marked loop the
 // analyzer flags
 //
 //   - make/new calls and slice, map, or pointer composite literals

@@ -19,7 +19,7 @@
 // v2 contracts:
 //
 //   - hot-path allocation freedom: loops marked //bflint:hotpath (the
-//     two simulator cycle loops) must not allocate per iteration
+//     simulator cycle loop) must not allocate per iteration
 //     (hotalloc);
 //   - overflow-safe layout arithmetic: shifts and parameter-derived
 //     products in the layout packages must be interval-bounded below

@@ -93,10 +93,10 @@ type AdaptiveRouter interface {
 	ObserveFailure(link int)
 }
 
-// plannedOut returns the dimension-order output for a packet at
-// (row, col): cross iff address bit col disagrees with the destination.
-func plannedOut(pk packet, row, col int) int {
-	if pk.dstRow&(1<<uint(col)) != row&(1<<uint(col)) {
+// plannedOut returns the dimension-order output for a packet bound for
+// row dstRow at (row, col): cross iff address bit col disagrees.
+func plannedOut(dstRow, row, col int) int {
+	if dstRow&(1<<uint(col)) != row&(1<<uint(col)) {
 		return 1
 	}
 	return 0
@@ -108,11 +108,11 @@ func plannedOut(pk packet, row, col int) int {
 // simulator-side accounting flags. drop is only ever true under the
 // static DropDead policy.
 func route(pk *packet, row, col, rows int, p *Params) (out int, drop, mis, detour bool) {
+	want := plannedOut(pk.dstRow, row, col)
 	if p.Adaptive == nil {
-		out, drop, mis = chooseOut(*pk, row, col, rows, p.Faults, p.Policy)
+		out, drop, mis = chooseOut(want, col*rows+row, p.Faults, p.Policy)
 		return out, drop, mis, false
 	}
-	want := plannedOut(*pk, row, col)
 	d := p.Adaptive.Choose(Hop{
 		Node:    col*rows + row,
 		Want:    want,

@@ -19,8 +19,8 @@ func allocBenchParams(bufferLimit, cycles int) Params {
 	}
 }
 
-// BenchmarkStepAllocs measures the per-cycle cost of both simulator hot
-// loops (ns/cycle and allocations). The companion TestStepAllocsZero
+// BenchmarkStepAllocs measures the per-cycle cost of the simulator hot
+// loop in both buffer modes (ns/cycle and allocations). The companion TestStepAllocsZero
 // pins the steady-state allocation count to zero; this benchmark records
 // the speed those reuse fixes buy (see EXPERIMENTS.md).
 func BenchmarkStepAllocs(b *testing.B) {
@@ -68,8 +68,8 @@ func marginalAllocsPerCycle(t *testing.T, bufferLimit int) float64 {
 }
 
 // TestStepAllocsZero is the allocation regression guard behind the
-// hotalloc analyzer: in steady state neither simulator hot loop may
-// allocate. Queue buffers, the arrivals scratch, and the VC credit table
+// hotalloc analyzer: in steady state the simulator hot loop may not
+// allocate in either buffer mode. Queue buffers, the arrivals scratch, and the VC credit table
 // all reach their high-water capacity during the first measured block and
 // are reused from then on, so the marginal cycle cost is exactly zero.
 func TestStepAllocsZero(t *testing.T) {

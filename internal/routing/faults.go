@@ -57,20 +57,14 @@ func (p Policy) String() string {
 	}
 }
 
-// chooseOut picks the output queue for pk at (row, col) under the fault
-// policy. drop reports that the packet must be discarded instead
-// (DropDead with a dead planned link); misrouted reports that the
-// fallback output was taken.
-func chooseOut(pk packet, row, col, rows int, fm FaultModel, policy Policy) (out int, drop, misrouted bool) {
-	want := 0
-	bit := 1 << uint(col)
-	if pk.dstRow&bit != row&bit {
-		want = 1
-	}
+// chooseOut picks the output queue at node, whose planned output is
+// want, under the fault policy. drop reports that the packet must be
+// discarded instead (DropDead with a dead planned link); misrouted
+// reports that the fallback output was taken.
+func chooseOut(want, node int, fm FaultModel, policy Policy) (out int, drop, misrouted bool) {
 	if fm == nil {
 		return want, false, false
 	}
-	node := col*rows + row
 	if !fm.LinkDown(node, want) {
 		return want, false, false
 	}

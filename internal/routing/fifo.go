@@ -4,12 +4,12 @@ package routing
 // array. The previous queue representation — a plain slice dequeued
 // with q = q[1:] — marches its base pointer forward through memory, so
 // once the original capacity is consumed every append reallocates: the
-// simulators paid roughly one allocation per enqueue in steady state.
+// simulator paid roughly one allocation per enqueue in steady state.
 // Here pop advances a head index instead, keeping the buffer's front
 // capacity alive; a push that finds the buffer full compacts the live
 // elements back to the start in place rather than growing. After the
 // queue reaches its high-water capacity it never allocates again,
-// which is what lets TestStepAllocsZero pin the hot loops at zero
+// which is what lets TestStepAllocsZero pin the hot loop at zero
 // allocations per cycle.
 type fifo[T any] struct {
 	buf  []T
@@ -20,8 +20,8 @@ type fifo[T any] struct {
 // slab, each with capEach slots of preallocated capacity. A queue that
 // outgrows its slot reallocates individually (append abandons the slab
 // slice), so capEach is a head start, not a limit — except where the
-// caller's own backpressure bounds occupancy (the VC simulator's
-// credit scheme caps every queue at BufferLimit), in which case an
+// caller's own backpressure bounds occupancy (finite buffers' credit
+// scheme caps every queue at BufferLimit), in which case an
 // exact capEach makes queue growth impossible.
 func newFifos[T any](n, capEach int) []fifo[T] {
 	fs := make([]fifo[T], n)

@@ -12,7 +12,9 @@
 // bit s of its current row disagrees with its destination row, else the
 // straight link; once the row matches it continues straight to the
 // destination column. Every directed link moves at most one packet per
-// cycle; per-link FIFO queues are unbounded.
+// cycle. Per-link FIFO queues are unbounded by default; Params.BufferLimit
+// bounds them instead, with credit backpressure and dateline virtual
+// channels (see Sim).
 package routing
 
 import (
@@ -36,9 +38,11 @@ type Params struct {
 	// boundary-crossing traffic is then measured.
 	ModuleOf []int
 	// BufferLimit caps the per-virtual-channel FIFO of every link
-	// (0 = unbounded single FIFO). Finite buffers switch the simulator to
-	// credit-based backpressure with three dateline virtual channels -
-	// without them the wrapped column ring deadlocks (see vc.go).
+	// (0 = one unbounded FIFO per link). Finite buffers bring
+	// credit-based backpressure - a full entry queue refuses injections
+	// (InjectionDrops) - and three virtual channels per link, raised at
+	// the column wrap "dateline": without them the wrapped column ring
+	// deadlocks.
 	BufferLimit int
 	// Trace, if non-nil, receives one CSV line per measured cycle:
 	// cycle,injected,delivered,backlog (cumulative counts, end-of-cycle
@@ -102,9 +106,10 @@ type Result struct {
 	// InjectionDrops counts injections refused because the entry queue
 	// was full (finite buffers only).
 	InjectionDrops int
-	// Stalls counts link-cycles where a packet could not advance because
-	// its next queue was full (finite buffers) or its link was dead
-	// (fault injection). Measured cycles only.
+	// Stalls counts blocked moves in measured cycles: one per occupied
+	// dead link per cycle (fault injection), plus, with finite buffers,
+	// one per queue head denied a credit for its next queue - so up to
+	// three per live link per cycle, one per virtual channel.
 	Stalls int
 	// Dropped counts packets discarded in flight - TTL expiry, or a
 	// dead planned link under the DropDead policy - over the whole run,
@@ -171,14 +176,6 @@ func (r *Result) CheckConservation() error {
 			r.UnreachableDead, r.UnreachableCut, r.UnreachableDetected, r.Unreachable)
 	}
 	return nil
-}
-
-// arrival is the phase-2 scratch record of the plain simulator: a
-// packet that crossed a link this cycle, waiting to be enqueued (or
-// delivered) at its new node after all moves complete.
-type arrival struct {
-	pk       packet
-	row, col int
 }
 
 type packet struct {
@@ -265,9 +262,10 @@ func SaturationRate(n int, opts SaturationOptions) (float64, error) {
 // TheoreticalSaturation returns the analytic fluid-limit saturation rate:
 // each of the nR nodes injects lambda packets per cycle travelling
 // E[hops] links on average over 2nR directed links of unit capacity, so
-// lambda* = 2nR / (nR * E[hops]) = 2 / E[hops], with E[hops] ~ 3n/2
-// (n/2... the row-fixing prefix averages, plus the column alignment).
-// The exact expectation is computed by enumeration.
+// lambda* = 2nR / (nR * E[hops]) = 2 / E[hops], with E[hops] ~ 3n/2:
+// about n hops to pass every column whose row bit may need fixing, plus
+// about n/2 more on average to run on to the destination column. The
+// exact expectation is computed by enumeration.
 func TheoreticalSaturation(n int) float64 {
 	return 2 / ExpectedHops(n)
 }

@@ -3,8 +3,10 @@ package routing
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -274,6 +276,45 @@ func TestTraceCSV(t *testing.T) {
 			t.Fatal("injected counter not monotone")
 		}
 		prev = v
+	}
+}
+
+// failingWriter accepts ok writes, then fails every later one.
+type failingWriter struct{ ok int }
+
+var errTraceSink = errors.New("trace sink full")
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errTraceSink
+	}
+	w.ok--
+	return len(b), nil
+}
+
+// A failing trace writer surfaces as a wrapped error naming where the
+// trace broke - the header at NewSim, or the first measured cycle's
+// line - in both buffer modes.
+func TestTraceWriteErrorsWrapped(t *testing.T) {
+	for _, buffers := range []int{0, 2} {
+		p := Params{N: 3, Lambda: 0.2, Warmup: 7, Cycles: 20, Seed: 4, BufferLimit: buffers}
+		p.Trace = &failingWriter{}
+		_, err := NewSim(p, Uniform)
+		if !errors.Is(err, errTraceSink) || !strings.Contains(err.Error(), "routing: trace header: ") {
+			t.Errorf("buffers=%d: header write failure gave %v", buffers, err)
+		}
+		p.Trace = &failingWriter{ok: 1}
+		s, err := NewSim(p, Uniform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Finish()
+		if !errors.Is(err, errTraceSink) || !strings.Contains(err.Error(), "routing: trace at cycle 7: ") {
+			t.Errorf("buffers=%d: per-cycle write failure gave %v", buffers, err)
+		}
+		if s.Cycle() != p.Warmup {
+			t.Errorf("buffers=%d: run advanced to cycle %d past the failed write at %d", buffers, s.Cycle(), p.Warmup)
+		}
 	}
 }
 

@@ -7,13 +7,25 @@ import (
 	"bfvlsi/internal/detrng"
 )
 
-// Stepwise simulation engine. Simulate and SimulatePattern run a whole
+// The simulation engine. Simulate and SimulatePattern run a whole
 // configuration in one call; Sim exposes the same machinery one cycle
 // at a time so callers can pause a run at a cycle boundary, export its
 // complete state, and later restore and continue it elsewhere (see
-// internal/snapshot). The engine is shared by both simulator modes:
-// BufferLimit 0 selects the unbounded-FIFO simulator of routing.go,
-// BufferLimit > 0 the virtual-channel/backpressure simulator of vc.go.
+// internal/snapshot).
+//
+// One engine serves both buffer modes, running the same phases every
+// cycle in the order Step lists them. With BufferLimit 0 each directed
+// link owns one unbounded FIFO. Finite buffers alone would deadlock -
+// the column wrap closes a cyclic channel dependency, the textbook
+// motivation for Dally-style virtual channels - so each link owns numVC
+// virtual channels of BufferLimit slots with credit-based backpressure
+// instead. The deterministic route traverses fewer than 2n links, so it
+// crosses the column-(n-1) -> column-0 "dateline" at most twice; three
+// virtual channels with the rule "increment VC at the dateline"
+// therefore order the channel dependency graph by (vc, column) and make
+// the network deadlock-free. Packets enter on VC 0, one packet crosses
+// each physical link per cycle, and arbitration scans from the highest
+// VC down for a movable head.
 //
 // The determinism contract extends to checkpointing: a run restored
 // from a SimState is packet-for-packet (and trace-byte) identical to
@@ -21,6 +33,8 @@ import (
 // Adaptive) are restored to their own mid-run state by the caller. All
 // of the engine's randomness flows through one detrng.Source, so the
 // RNG position is just a draw count.
+
+const numVC = 3
 
 // Sim is one in-flight simulation. Create with NewSim or
 // RestoreSim, advance with Step, and collect the result with Finish.
@@ -36,11 +50,12 @@ type Sim struct {
 	src *detrng.Source
 	rng *rand.Rand
 
-	// queues is the plain mode's FIFO set (nodes*2); vcQueues the VC
-	// mode's (nodes*2*numVC). Exactly one is non-nil.
-	queues   []fifo[packet]
-	vcQueues []fifo[vcPacket]
-	// room is the VC mode's per-cycle credit scratch.
+	// queues[(node*2+out)*vcs + vc]: vcs is 1 with unbounded FIFOs and
+	// numVC with finite buffers, so a packet's virtual channel is its
+	// queue index mod vcs.
+	queues []fifo[packet]
+	vcs    int
+	// room is the finite buffers' per-cycle credit scratch (else nil).
 	room []int
 
 	res       *Result
@@ -51,8 +66,20 @@ type Sim struct {
 
 	// Per-cycle scratch, hoisted: reset to length zero each cycle, the
 	// backing array reaches its high-water capacity once and is reused.
-	arrivals   []arrival
-	vcArrivals []vcArrival
+	arrivals []arrival
+}
+
+// arrival is the link-traversal scratch record: a packet that crossed a
+// link this cycle, to be delivered or enqueued at (row, col) on VC vc
+// once every link has moved. With finite buffers it also carries the
+// next-hop decision made at grant time, so the drain does not decide
+// twice. The narrow fields keep the record at 72 bytes, below the size
+// the compiler copies with a slower block move on every append.
+type arrival struct {
+	pk             packet
+	row, col       int32
+	vc, out        uint8
+	drop, mis, det bool
 }
 
 // NewSim validates p and builds a simulation positioned before cycle 0,
@@ -71,7 +98,7 @@ func NewSim(p Params, pattern Pattern) (*Sim, error) {
 	}
 	if p.Trace != nil {
 		if _, err := fmt.Fprintln(p.Trace, "cycle,injected,delivered,backlog"); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("routing: trace header: %w", err)
 		}
 	}
 	return s, nil
@@ -98,25 +125,25 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 	s := &Sim{
 		p: p, pattern: pattern,
 		n: n, rows: rows, nodes: nodes,
-		total: p.Warmup + p.Cycles,
-		src:   detrng.New(p.Seed),
-		res:   &Result{Nodes: nodes},
+		total:    p.Warmup + p.Cycles,
+		src:      detrng.New(p.Seed),
+		res:      &Result{Nodes: nodes},
+		vcs:      1,
+		arrivals: make([]arrival, 0, 2*nodes),
 	}
 	s.rng = rand.New(s.src)
 	if p.BufferLimit > 0 {
-		// queues[(node*2 + out)*numVC + vc]. Credit backpressure bounds
-		// every VC queue at BufferLimit slots, so preallocating exactly
-		// that much means no queue ever grows - the hot loop cannot
-		// allocate through a push.
-		s.vcQueues = newFifos[vcPacket](nodes*2*numVC, p.BufferLimit)
-		s.room = make([]int, len(s.vcQueues))
-		s.vcArrivals = make([]vcArrival, 0, 2*nodes)
+		// Credit backpressure bounds every VC queue at BufferLimit slots,
+		// so preallocating exactly that much means no queue ever grows -
+		// the hot loop cannot allocate through a push.
+		s.vcs = numVC
+		s.queues = newFifos[packet](nodes*2*numVC, p.BufferLimit)
+		s.room = make([]int, len(s.queues))
 	} else {
-		// queues[node*2 + 0] straight, +1 cross. 16 slots of head-start
-		// capacity per queue keeps steady-state growth (and its
-		// allocations) out of the measured hot loop at moderate loads.
+		// 16 slots of head-start capacity per queue keeps steady-state
+		// growth (and its allocations) out of the measured hot loop at
+		// moderate loads.
 		s.queues = newFifos[packet](nodes*2, 16)
-		s.arrivals = make([]arrival, 0, 2*nodes)
 	}
 	return s, nil
 }
@@ -137,322 +164,327 @@ func (s *Sim) Step() error {
 	if s.Done() {
 		return fmt.Errorf("routing: step past the end of the %d-cycle run", s.total)
 	}
-	var err error
-	if s.vcQueues != nil {
-		err = s.stepVC()
-	} else {
-		err = s.stepPlain()
+	p := &s.p
+	measured := s.cycle >= p.Warmup
+	if p.Faults != nil {
+		p.Faults.BeginCycle(s.cycle)
 	}
-	if err != nil {
+	if p.Reliable != nil {
+		p.Reliable.BeginCycle(s.cycle)
+	}
+	if p.Adaptive != nil {
+		p.Adaptive.BeginCycle(s.cycle)
+		runProbes(p.Adaptive, p.Faults)
+	}
+	if err := s.inject(measured); err != nil {
 		return err
+	}
+	if p.Reliable != nil {
+		s.retransmit()
+	}
+	// Finite buffers discard dead heads before the re-plan so that it,
+	// and the credits computed after it, see the freed slots. Unbounded
+	// FIFOs discard them after the re-plan, just before the links move.
+	if s.room != nil {
+		s.expire()
+	}
+	if p.Adaptive != nil {
+		s.replan()
+	}
+	if s.room == nil {
+		s.expire()
+	}
+	s.traverse(measured)
+	s.drain(measured)
+	if p.Trace != nil && measured {
+		if _, err := fmt.Fprintf(p.Trace, "%d,%d,%d,%d\n",
+			s.cycle-p.Warmup, s.res.Injected, s.res.Delivered, s.backlog()); err != nil {
+			return fmt.Errorf("routing: trace at cycle %d: %w", s.cycle, err)
+		}
 	}
 	s.cycle++
 	return nil
 }
 
-// Finish simulates the remaining cycles and returns the final Result.
-// The Sim itself is left at the end of the run; Finish is idempotent
-// once the run completes.
-func (s *Sim) Finish() (*Result, error) {
-	for !s.Done() {
-		if err := s.Step(); err != nil {
-			return nil, err
-		}
-	}
-	res := *s.res
-	queueLens := s.queueLens()
-	for _, l := range queueLens {
-		res.Backlog += l
-		if l > res.MaxQueue {
-			res.MaxQueue = l
-		}
-	}
-	res.Throughput = float64(res.Delivered) / float64(res.Nodes) / float64(s.p.Cycles)
-	if s.latCount > 0 {
-		res.AvgLatency = s.latSum / float64(s.latCount)
-		res.AvgHops = s.hopSum / float64(s.latCount)
-	}
-	res.BoundaryCrossingsPerCycle = float64(s.crossings) / float64(s.p.Cycles)
-	return &res, nil
-}
-
-// queueLens returns the occupancy of every queue in index order,
-// whichever mode is active.
-func (s *Sim) queueLens() []int {
-	var lens []int
-	if s.vcQueues != nil {
-		lens = make([]int, len(s.vcQueues))
-		for qi := range s.vcQueues {
-			lens[qi] = s.vcQueues[qi].len()
-		}
-		return lens
-	}
-	lens = make([]int, len(s.queues))
-	for qi := range s.queues {
-		lens[qi] = s.queues[qi].len()
-	}
-	return lens
-}
-
-// backlog returns the total number of queued packets.
-func (s *Sim) backlog() int {
-	total := 0
-	for _, l := range s.queueLens() {
-		total += l
-	}
-	return total
-}
-
-// stepPlain simulates one cycle of the unbounded-FIFO mode. The body is
-// the per-cycle block of the original monolithic loop, verbatim except
-// that run-long state lives on s.
-func (s *Sim) stepPlain() error {
-	p := &s.p
-	n, rows, nodes := s.n, s.rows, s.nodes
-	queues := s.queues
-	res := s.res
-	rng := s.rng
-	cycle := s.cycle
-	id := func(row, col int) int { return col*rows + row }
-	measured := cycle >= p.Warmup
-	if p.Faults != nil {
-		p.Faults.BeginCycle(cycle)
-	}
-	if p.Reliable != nil {
-		p.Reliable.BeginCycle(cycle)
-	}
-	if p.Adaptive != nil {
-		p.Adaptive.BeginCycle(cycle)
-		runProbes(p.Adaptive, p.Faults)
-	}
-	// Phase 1: injections.
+// inject draws this cycle's fresh traffic: every live node, in row-major
+// order, injects with probability Lambda onto VC 0 of its chosen output.
+func (s *Sim) inject(measured bool) error {
+	p, res, n, rows := &s.p, s.res, s.n, s.rows
 	for row := 0; row < rows; row++ {
 		for col := 0; col < n; col++ {
-			if p.Faults != nil && p.Faults.NodeDown(id(row, col)) {
+			src := col*rows + row
+			if p.Faults != nil && p.Faults.NodeDown(src) {
 				continue // dead nodes do not inject
 			}
-			if rng.Float64() >= p.Lambda {
+			if s.rng.Float64() >= p.Lambda {
 				continue
 			}
-			dr, dc, derr := destFor(s.pattern, n, rows, row, col, rng)
-			if derr != nil {
-				return derr
+			dr, dc, err := destFor(s.pattern, n, rows, row, col, s.rng)
+			if err != nil {
+				return err
 			}
-			pk := packet{
-				dstRow:  dr,
-				dstCol:  dc,
-				born:    cycle,
-				blocked: -1,
-			}
+			dst := dc*rows + dr
+			res.TotalInjected++
 			if measured {
 				res.Injected++
 			}
-			res.TotalInjected++
-			if pk.dstRow == row && pk.dstCol == col {
-				// Delivered in place: no copy enters the network, so
-				// no duplicate can ever exist and the payload needs
-				// no reliable-transport state.
+			if dst == src {
+				// Delivered in place: no copy enters the network, so no
+				// duplicate can ever exist and the payload needs no
+				// reliable-transport state.
 				res.TotalDelivered++
 				if measured {
 					res.Delivered++
 				}
 				continue
 			}
-			if p.Adaptive != nil && p.Adaptive.RejectDest(id(dr, dc)) {
-				// The source's own disseminated link-state map calls
-				// the destination unreachable: refuse locally, before
-				// any transport state exists - no retries to burn.
-				res.Unreachable++
-				res.UnreachableDetected++
-				continue
+			pk := packet{dstRow: dr, dstCol: dc, born: s.cycle, blocked: -1}
+			refused, learned := s.refuse(dst)
+			if p.Reliable != nil && !learned {
+				// Registered before the reachability and buffer checks,
+				// unless the source's own link-state map refused the
+				// destination (no transport state, no retries to burn).
+				// The source cannot know about a dead or cut-off
+				// destination, so those retries burn budget against the
+				// void until abandoned; an injection refused at a full
+				// entry queue stays pending for the timer to recover.
+				pk.rid = p.Reliable.Register(s.cycle, src, dst)
 			}
-			if p.Faults != nil && p.Faults.NodeDown(id(dr, dc)) {
-				if p.Reliable != nil {
-					// The source cannot know the destination is dead:
-					// the payload is registered and its retries burn
-					// budget against the void until it is abandoned.
-					p.Reliable.Register(cycle, id(row, col), id(dr, dc))
+			if !refused && s.offer(pk, src) {
+				// Refused at a full entry queue: never entered at all.
+				res.TotalInjected--
+				if measured {
+					res.Injected--
+					res.InjectionDrops++
 				}
-				res.Unreachable++
-				res.UnreachableDead++
-				continue
 			}
-			if destCut(p.Faults, n, rows, dr, dc) {
-				// Every link into the destination is dead: the packet
-				// could only wander until its TTL - or, with TTL 0,
-				// forever. Refuse it at injection instead; as with a
-				// dead node the source cannot know, so the payload is
-				// still registered and its retries burn budget.
-				if p.Reliable != nil {
-					p.Reliable.Register(cycle, id(row, col), id(dr, dc))
-				}
-				res.Unreachable++
-				res.UnreachableCut++
-				continue
-			}
-			if p.Reliable != nil {
-				pk.rid = p.Reliable.Register(cycle, id(row, col), id(dr, dc))
-			}
-			out, drop, mis, det := route(&pk, row, col, rows, p)
-			if drop {
-				res.Dropped++
-				continue
-			}
-			if mis {
-				res.Misroutes++
-			}
-			if det {
-				res.Detours++
-			}
-			q := id(row, col)*2 + out
-			queues[q].push(pk)
 		}
 	}
-	// Phase 1b: retransmissions due this cycle re-enter at their
-	// source, after fresh traffic (fresh injections keep priority).
-	if p.Reliable != nil {
-		for _, c := range p.Reliable.Retransmissions(cycle) {
-			srcRow, srcCol := c.Src%rows, c.Src/rows
-			if p.Faults != nil && p.Faults.NodeDown(c.Src) {
-				p.Reliable.Deferred(c.ID) // dead sources cannot resend
-				continue
-			}
-			p.Reliable.Emitted(c.ID, cycle)
-			res.Retransmitted++
-			if p.Adaptive != nil && p.Adaptive.RejectDest(c.Dst) {
-				res.Unreachable++
-				res.UnreachableDetected++
-				continue
-			}
-			if p.Faults != nil && p.Faults.NodeDown(c.Dst) {
-				res.Unreachable++
-				res.UnreachableDead++
-				continue
-			}
-			if destCut(p.Faults, n, rows, c.Dst%rows, c.Dst/rows) {
-				res.Unreachable++
-				res.UnreachableCut++
-				continue
-			}
-			pk := packet{dstRow: c.Dst % rows, dstCol: c.Dst / rows, born: cycle, rid: c.ID, blocked: -1}
-			out, drop, mis, det := route(&pk, srcRow, srcCol, rows, p)
-			if drop {
+	return nil
+}
+
+// retransmit re-injects the copies whose transport timers fired at their
+// source, after fresh traffic (which keeps priority). A dead source or a
+// full entry queue defers a copy to the next cycle without consuming a
+// retry; any other outcome, refusal as unreachable included, consumes one.
+func (s *Sim) retransmit() {
+	p, rows := &s.p, s.rows
+	for _, c := range p.Reliable.Retransmissions(s.cycle) {
+		if p.Faults != nil && p.Faults.NodeDown(c.Src) {
+			p.Reliable.Deferred(c.ID) // dead sources cannot resend
+			continue
+		}
+		pk := packet{dstRow: c.Dst % rows, dstCol: c.Dst / rows, born: s.cycle, rid: c.ID, blocked: -1}
+		if refused, _ := s.refuse(c.Dst); !refused && s.offer(pk, c.Src) {
+			p.Reliable.Deferred(c.ID)
+			continue
+		}
+		p.Reliable.Emitted(c.ID, s.cycle)
+		s.res.Retransmitted++
+	}
+}
+
+// refuse reports whether a packet for dst is refused at its source as
+// Unreachable, counting it under its cause: the adaptive router's
+// disseminated map condemning dst (learned), a dead destination node, or
+// every link into it dead (oracle) - rather than let the packet wander
+// until its TTL or, with TTL 0, forever.
+func (s *Sim) refuse(dst int) (refused, learned bool) {
+	p, res := &s.p, s.res
+	switch {
+	case p.Adaptive != nil && p.Adaptive.RejectDest(dst):
+		res.UnreachableDetected++
+		learned = true
+	case p.Faults != nil && p.Faults.NodeDown(dst):
+		res.UnreachableDead++
+	case destCut(p.Faults, s.n, s.rows, dst%s.rows, dst/s.rows):
+		res.UnreachableCut++
+	default:
+		return false, false
+	}
+	res.Unreachable++
+	return true, learned
+}
+
+// offer routes a packet entering at node src and places it on VC 0 of
+// its chosen output, or reports that a full entry queue refused it.
+func (s *Sim) offer(pk packet, src int) (full bool) {
+	out, drop, mis, det := route(&pk, src%s.rows, src/s.rows, s.rows, &s.p)
+	q := (src*2 + out) * s.vcs
+	if !drop && s.full(q) {
+		return true
+	}
+	s.place(q, pk, drop, mis, det)
+	return false
+}
+
+// place pushes pk onto queue q, counting a misroute or detour, or drops
+// it (the DropDead policy at a dead planned link).
+func (s *Sim) place(q int, pk packet, drop, mis, det bool) {
+	if drop {
+		s.res.Dropped++
+		return
+	}
+	if mis {
+		s.res.Misroutes++
+	}
+	if det {
+		s.res.Detours++
+	}
+	s.queues[q].push(pk)
+}
+
+// expire discards dead queue heads: copies older than the TTL into
+// Dropped, copies of payloads the transport abandoned into GaveUp.
+func (s *Sim) expire() {
+	p, res := &s.p, s.res
+	if p.TTL <= 0 && p.Reliable == nil {
+		return
+	}
+	for qi := range s.queues {
+		q := &s.queues[qi]
+		for q.len() > 0 {
+			head := q.front()
+			if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
+				res.GaveUp++
+			} else if p.TTL > 0 && s.cycle-head.born >= p.TTL {
 				res.Dropped++
-				continue
+			} else {
+				break
 			}
-			if mis {
-				res.Misroutes++
-			}
-			if det {
-				res.Detours++
-			}
-			q := c.Src*2 + out
-			queues[q].push(pk)
+			q.pop()
 		}
 	}
-	// Phase 1c: re-planning. The adaptive router re-examines the head of
-	// every queue; a head whose link the router has since condemned is
-	// moved to the node's other output queue instead of stalling until
-	// the breaker re-closes. Only heads move: packets behind them follow
-	// on later cycles if the condemnation persists. Choose is
-	// deterministic within a cycle, so a moved head re-examined at its
-	// new queue re-chooses the same output - no ping-pong.
-	if p.Adaptive != nil {
-		for node := 0; node < nodes; node++ {
-			row, col := node%rows, node/rows
-			for out := 0; out < 2; out++ {
-				q := node*2 + out
-				if queues[q].len() == 0 {
+}
+
+// replan lets the adaptive router re-examine the head of every queue; a
+// head whose link the router has since condemned moves to the node's
+// other output - same VC, so the dateline ordering is untouched - when
+// that queue has a free slot, instead of stalling until the breaker
+// re-closes. Only heads move: packets behind them follow on later cycles
+// if the condemnation persists. Choose is deterministic within a cycle,
+// so a moved head re-examined at its new queue re-chooses the same
+// output - no ping-pong.
+func (s *Sim) replan() {
+	p, res, rows, vcs := &s.p, s.res, s.rows, s.vcs
+	for node := 0; node < s.nodes; node++ {
+		row, col := node%rows, node/rows
+		for out := 0; out < 2; out++ {
+			for vc := 0; vc < vcs; vc++ {
+				q := (node*2+out)*vcs + vc
+				if s.queues[q].len() == 0 {
 					continue
 				}
-				pk := queues[q].front()
-				d := p.Adaptive.Choose(Hop{
-					Node:    node,
-					Want:    plannedOut(pk, row, col),
-					Dst:     pk.dstCol*rows + pk.dstRow,
-					Detours: pk.detours,
-					Blocked: pk.blocked,
-				})
-				if d.Out == out {
+				pk := s.queues[q].front()
+				nout, _, _, det := route(&pk, row, col, rows, p)
+				if nout == out {
 					continue
 				}
-				pk.blocked = d.Blocked
-				if d.Deliberate {
-					pk.detours++
+				nq := (node*2+nout)*vcs + vc
+				if s.full(nq) {
+					continue // no slot: stay and retry next cycle
 				}
-				if d.Detour {
+				if det {
 					res.Detours++
 				}
 				res.Reroutes++
-				queues[q].pop()
-				nq := node*2 + d.Out
-				queues[nq].push(pk)
+				s.queues[q].pop()
+				s.queues[nq].push(pk)
 			}
 		}
 	}
-	// Phase 2: every directed link moves one packet; arrivals are
-	// buffered and enqueued after all moves (synchronous step).
+}
+
+// traverse moves at most one packet across every live directed link into
+// s.arrivals; nothing is enqueued until every link has moved (synchronous
+// step). Finite-buffer arbitration takes the highest VC whose head has a
+// credit for its next queue; credits are computed from start-of-phase
+// occupancy (conservative) and consumed as moves are granted.
+func (s *Sim) traverse(measured bool) {
+	p, res, queues, room := &s.p, s.res, s.queues, s.room
+	n, rows, vcs := s.n, s.rows, s.vcs
+	for i := range room {
+		room[i] = p.BufferLimit - queues[i].len()
+	}
 	arrivals := s.arrivals[:0]
 	//bflint:hotpath
 	for row := 0; row < rows; row++ {
 		for col := 0; col < n; col++ {
-			node := id(row, col)
-			base := node * 2
+			node := col*rows + row
 			nextCol := (col + 1) % n
 			for out := 0; out < 2; out++ {
-				q := base + out
-				if p.TTL > 0 || p.Reliable != nil {
-					for queues[q].len() > 0 {
-						head := queues[q].front()
-						if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
-							queues[q].pop()
-							res.GaveUp++
-							continue
-						}
-						if p.TTL > 0 && cycle-head.born >= p.TTL {
-							queues[q].pop()
-							res.Dropped++
-							continue
-						}
-						break
-					}
-				}
-				if queues[q].len() == 0 {
-					continue
-				}
-				if p.Faults != nil && p.Faults.LinkDown(node, out) {
-					if measured {
-						res.Stalls++
-					}
-					if p.Adaptive != nil {
-						p.Adaptive.ObserveFailure(q)
-					}
-					continue
-				}
-				pk := queues[q].front()
+				link := node*2 + out
 				nr := row
 				if out == 1 {
 					nr = row ^ (1 << uint(col))
 				}
-				queues[q].pop()
-				pk.hops++
-				if p.Adaptive != nil {
-					p.Adaptive.ObserveSuccess(q)
-				}
-				if p.ModuleOf != nil && measured {
-					if p.ModuleOf[id(row, col)] != p.ModuleOf[id(nr, nextCol)] {
+				for vc := vcs - 1; vc >= 0; vc-- {
+					q := link*vcs + vc
+					if queues[q].len() == 0 {
+						continue
+					}
+					if p.Faults != nil && p.Faults.LinkDown(node, out) {
+						// Dead link: nothing moves, no credits consumed.
+						if measured {
+							res.Stalls++
+						}
+						if p.Adaptive != nil {
+							p.Adaptive.ObserveFailure(link)
+						}
+						break
+					}
+					pk := queues[q].front()
+					nvc, nout, drop, mis, det := vc, 0, false, false, false
+					if nextCol == 0 && vc < vcs-1 {
+						nvc++ // dateline crossing
+					}
+					if room != nil && (pk.dstRow != nr || pk.dstCol != nextCol) {
+						// Finite buffers route the next hop here, once, on
+						// a scratch copy: a move the credit check denies
+						// discards the decision whole (Choose is a pure
+						// read, so the call left no state behind), and the
+						// drain reuses the stored flags. Packets dropped
+						// on arrival consume no credit.
+						nout, drop, mis, det = route(&pk, nr, nextCol, rows, p)
+						if !drop {
+							nq := ((nextCol*rows+nr)*2+nout)*vcs + nvc
+							if room[nq] <= 0 {
+								if measured {
+									res.Stalls++
+								}
+								continue
+							}
+							room[nq]--
+						}
+					}
+					queues[q].pop()
+					pk.hops++
+					if p.Adaptive != nil {
+						p.Adaptive.ObserveSuccess(link)
+					}
+					if p.ModuleOf != nil && measured && p.ModuleOf[node] != p.ModuleOf[nextCol*rows+nr] {
 						s.crossings++
 					}
+					arrivals = append(arrivals, arrival{pk: pk, row: int32(nr), col: int32(nextCol),
+						vc: uint8(nvc), out: uint8(nout), drop: drop, mis: mis, det: det})
+					break
 				}
-				arrivals = append(arrivals, arrival{pk: pk, row: nr, col: nextCol})
 			}
 		}
 	}
-	for _, a := range arrivals {
-		if a.pk.dstRow == a.row && a.pk.dstCol == a.col {
+	s.arrivals = arrivals
+}
+
+// drain delivers or enqueues this cycle's arrivals in traversal order.
+func (s *Sim) drain(measured bool) {
+	p, res, rows, vcs, bounded := &s.p, s.res, s.rows, s.vcs, s.room != nil
+	for i := range s.arrivals {
+		a := &s.arrivals[i]
+		row, col := int(a.row), int(a.col)
+		if a.pk.dstRow == row && a.pk.dstCol == col {
 			born := a.pk.born
 			if p.Reliable != nil {
-				v, born0 := p.Reliable.Arrive(cycle, a.pk.rid)
+				v, born0 := p.Reliable.Arrive(s.cycle, a.pk.rid)
 				switch v {
 				case DeliverDuplicate:
 					res.DuplicatesDropped++
@@ -469,37 +501,59 @@ func (s *Sim) stepPlain() error {
 			if measured {
 				res.Delivered++
 				if born >= p.Warmup {
-					s.latSum += float64(cycle - born + 1)
+					s.latSum += float64(s.cycle - born + 1)
 					s.hopSum += float64(a.pk.hops)
 					s.latCount++
 				}
 			}
 			continue
 		}
-		out, drop, mis, det := route(&a.pk, a.row, a.col, rows, p)
-		if drop {
-			res.Dropped++
-			continue
+		out, drop, mis, det := int(a.out), a.drop, a.mis, a.det
+		if !bounded {
+			// Unbounded FIFOs route the next hop only now, after every
+			// link has moved and reported to the adaptive router.
+			out, drop, mis, det = route(&a.pk, row, col, rows, p)
 		}
-		if mis {
-			res.Misroutes++
-		}
-		if det {
-			res.Detours++
-		}
-		q := id(a.row, a.col)*2 + out
-		queues[q].push(a.pk)
+		s.place(((col*rows+row)*2+out)*vcs+int(a.vc), a.pk, drop, mis, det)
 	}
-	s.arrivals = arrivals
-	if p.Trace != nil && measured {
-		backlog := 0
-		for qi := range queues {
-			backlog += queues[qi].len()
-		}
-		if _, err := fmt.Fprintf(p.Trace, "%d,%d,%d,%d\n", //bflint:ignore hotalloc trace output is off on hot runs
-			cycle-p.Warmup, res.Injected, res.Delivered, backlog); err != nil { //bflint:ignore hotalloc trace output is off on hot runs
-			return err
+}
+
+// full reports whether queue q has no free slot (never, when unbounded).
+func (s *Sim) full(q int) bool {
+	return s.p.BufferLimit > 0 && s.queues[q].len() >= s.p.BufferLimit
+}
+
+// backlog returns the total number of queued packets.
+func (s *Sim) backlog() int {
+	total := 0
+	for qi := range s.queues {
+		total += s.queues[qi].len()
+	}
+	return total
+}
+
+// Finish simulates the remaining cycles and returns the final Result.
+// The Sim itself is left at the end of the run; Finish is idempotent
+// once the run completes.
+func (s *Sim) Finish() (*Result, error) {
+	for !s.Done() {
+		if err := s.Step(); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	res := *s.res
+	for qi := range s.queues {
+		l := s.queues[qi].len()
+		res.Backlog += l
+		if l > res.MaxQueue {
+			res.MaxQueue = l
+		}
+	}
+	res.Throughput = float64(res.Delivered) / float64(res.Nodes) / float64(s.p.Cycles)
+	if s.latCount > 0 {
+		res.AvgLatency = s.latSum / float64(s.latCount)
+		res.AvgHops = s.hopSum / float64(s.latCount)
+	}
+	res.BoundaryCrossingsPerCycle = float64(s.crossings) / float64(s.p.Cycles)
+	return &res, nil
 }

@@ -15,10 +15,10 @@ import (
 // into a versioned, content-addressed checkpoint.
 
 // PacketState is one queued packet of a paused run. Queue is the
-// packet's queue index in the active mode's layout (plain:
-// node*2+out; VC: (node*2+out)*numVC+vc); packets of one queue appear
-// in FIFO order. VC is the packet's virtual channel, always
-// Queue%numVC in VC mode and 0 in plain mode.
+// engine's queue index, (node*2+out)*vcs + vc, where vcs is 1 with
+// unbounded FIFOs and numVC with finite buffers; packets of one queue
+// appear in FIFO order. VC is the packet's virtual channel, always
+// Queue%vcs (so 0 with unbounded FIFOs).
 type PacketState struct {
 	Queue          int
 	DstRow, DstCol int
@@ -64,28 +64,15 @@ func (s *Sim) State() *SimState {
 		LatCount:  s.latCount,
 		Crossings: s.crossings,
 	}
-	backlog := s.backlog()
-	if backlog > 0 {
+	if backlog := s.backlog(); backlog > 0 {
 		st.Packets = make([]PacketState, 0, backlog)
-	}
-	if s.vcQueues != nil {
-		for qi := range s.vcQueues {
-			for _, pk := range s.vcQueues[qi].items() {
-				st.Packets = append(st.Packets, PacketState{
-					Queue: qi, DstRow: pk.dstRow, DstCol: pk.dstCol,
-					Born: pk.born, Hops: pk.hops, RID: pk.rid,
-					Detours: pk.detours, Blocked: pk.blocked, VC: pk.vc,
-				})
-			}
-		}
-		return st
 	}
 	for qi := range s.queues {
 		for _, pk := range s.queues[qi].items() {
 			st.Packets = append(st.Packets, PacketState{
 				Queue: qi, DstRow: pk.dstRow, DstCol: pk.dstCol,
 				Born: pk.born, Hops: pk.hops, RID: pk.rid,
-				Detours: pk.detours, Blocked: pk.blocked,
+				Detours: pk.detours, Blocked: pk.blocked, VC: qi % s.vcs,
 			})
 		}
 	}
@@ -110,32 +97,23 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 	if err := checkCounters(&st.Counters, s.nodes, len(st.Packets)); err != nil {
 		return nil, err
 	}
-	nq := len(s.queues)
-	if s.vcQueues != nil {
-		nq = len(s.vcQueues)
-	}
 	prev := -1
 	for i := range st.Packets {
 		ps := &st.Packets[i]
-		if err := s.checkPacket(ps, nq, st.Cycle); err != nil {
+		if err := s.checkPacket(ps, st.Cycle); err != nil {
 			return nil, fmt.Errorf("routing: restore packet %d: %w", i, err)
 		}
 		if ps.Queue < prev {
 			return nil, fmt.Errorf("routing: restore packet %d: queue %d out of order (after %d)", i, ps.Queue, prev)
 		}
 		prev = ps.Queue
-		pk := packet{
+		if s.full(ps.Queue) {
+			return nil, fmt.Errorf("routing: restore packet %d: queue %d over BufferLimit %d", i, ps.Queue, p.BufferLimit)
+		}
+		s.queues[ps.Queue].push(packet{
 			dstRow: ps.DstRow, dstCol: ps.DstCol, born: ps.Born,
 			hops: ps.Hops, rid: ps.RID, detours: ps.Detours, blocked: ps.Blocked,
-		}
-		if s.vcQueues != nil {
-			if s.vcQueues[ps.Queue].len() >= p.BufferLimit {
-				return nil, fmt.Errorf("routing: restore packet %d: queue %d over BufferLimit %d", i, ps.Queue, p.BufferLimit)
-			}
-			s.vcQueues[ps.Queue].push(vcPacket{packet: pk, vc: ps.VC})
-		} else {
-			s.queues[ps.Queue].push(pk)
-		}
+		})
 	}
 	s.cycle = st.Cycle
 	s.src = detrng.Restore(p.Seed, st.Draws)
@@ -149,10 +127,10 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 }
 
 // checkPacket validates one exported packet against the engine's
-// geometry and mode.
-func (s *Sim) checkPacket(ps *PacketState, nq, cycle int) error {
-	if ps.Queue < 0 || ps.Queue >= nq {
-		return fmt.Errorf("queue %d out of [0,%d)", ps.Queue, nq)
+// geometry and queue layout.
+func (s *Sim) checkPacket(ps *PacketState, cycle int) error {
+	if ps.Queue < 0 || ps.Queue >= len(s.queues) {
+		return fmt.Errorf("queue %d out of [0,%d)", ps.Queue, len(s.queues))
 	}
 	if ps.DstRow < 0 || ps.DstRow >= s.rows || ps.DstCol < 0 || ps.DstCol >= s.n {
 		return fmt.Errorf("destination (%d,%d) outside %dx%d", ps.DstRow, ps.DstCol, s.rows, s.n)
@@ -166,11 +144,7 @@ func (s *Sim) checkPacket(ps *PacketState, nq, cycle int) error {
 	if ps.Blocked < -1 || ps.Blocked >= s.n {
 		return fmt.Errorf("blocked column %d outside [-1,%d)", ps.Blocked, s.n)
 	}
-	wantVC := 0
-	if s.vcQueues != nil {
-		wantVC = ps.Queue % numVC
-	}
-	if ps.VC != wantVC {
+	if wantVC := ps.Queue % s.vcs; ps.VC != wantVC {
 		return fmt.Errorf("vc %d does not match queue %d (want %d)", ps.VC, ps.Queue, wantVC)
 	}
 	return nil

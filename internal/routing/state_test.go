@@ -75,50 +75,64 @@ func TestRestoreSimContinuesIdentically(t *testing.T) {
 }
 
 // TestRestoreSimRejectsCorrupt checks that a tampered state cannot
-// silently restore.
+// silently restore, in both buffer modes: every mutation runs against a
+// plain (unbounded FIFO) and a VC (BufferLimit 2) snapshot, so the
+// shared checkPacket is exercised on both queue layouts.
 func TestRestoreSimRejectsCorrupt(t *testing.T) {
-	p := Params{N: 3, Lambda: 0.5, Warmup: 10, Cycles: 30, Seed: 3, BufferLimit: 2}
-	s, err := NewSim(p, Uniform)
-	if err != nil {
-		t.Fatal(err)
+	modes := []struct {
+		name string
+		p    Params
+	}{
+		{"plain", Params{N: 3, Lambda: 0.5, Warmup: 10, Cycles: 30, Seed: 3}},
+		{"vc", Params{N: 3, Lambda: 0.5, Warmup: 10, Cycles: 30, Seed: 3, BufferLimit: 2}},
 	}
-	for s.Cycle() < 20 {
-		if err := s.Step(); err != nil {
+	bases := make([]*SimState, len(modes))
+	for i, m := range modes {
+		s, err := NewSim(m.p, Uniform)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	base := s.State()
-	if len(base.Packets) == 0 {
-		t.Fatal("test needs a non-empty backlog")
+		for s.Cycle() < 20 {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bases[i] = s.State()
+		if len(bases[i].Packets) == 0 {
+			t.Fatalf("%s: test needs a non-empty backlog", m.name)
+		}
+		// The untampered state still restores.
+		if _, err := RestoreSim(m.p, Uniform, bases[i]); err != nil {
+			t.Fatalf("%s: pristine state rejected: %v", m.name, err)
+		}
 	}
 
 	mutate := []struct {
 		name string
-		fn   func(st *SimState)
+		fn   func(st *SimState, p Params)
 	}{
-		{"cycle past end", func(st *SimState) { st.Cycle = p.Warmup + p.Cycles + 1 }},
-		{"queue out of range", func(st *SimState) { st.Packets[0].Queue = 1 << 20 }},
-		{"dest out of range", func(st *SimState) { st.Packets[0].DstRow = 1 << 10 }},
-		{"born in the future", func(st *SimState) { st.Packets[0].Born = st.Cycle + 5 }},
-		{"vc mismatch", func(st *SimState) { st.Packets[0].VC = (st.Packets[0].VC + 1) % numVC }},
-		{"counter drift", func(st *SimState) { st.Counters.TotalInjected += 3 }},
-		{"derived field set", func(st *SimState) { st.Counters.Backlog = 1 }},
-		{"wrong nodes", func(st *SimState) { st.Counters.Nodes++ }},
+		{"cycle past end", func(st *SimState, p Params) { st.Cycle = p.Warmup + p.Cycles + 1 }},
+		{"queue out of range", func(st *SimState, _ Params) { st.Packets[0].Queue = 1 << 20 }},
+		{"dest out of range", func(st *SimState, _ Params) { st.Packets[0].DstRow = 1 << 10 }},
+		{"born in the future", func(st *SimState, _ Params) { st.Packets[0].Born = st.Cycle + 5 }},
+		{"vc mismatch", func(st *SimState, _ Params) { st.Packets[0].VC = (st.Packets[0].VC + 1) % numVC }},
+		{"counter drift", func(st *SimState, _ Params) { st.Counters.TotalInjected += 3 }},
+		{"derived field set", func(st *SimState, _ Params) { st.Counters.Backlog = 1 }},
+		{"wrong nodes", func(st *SimState, _ Params) { st.Counters.Nodes++ }},
 	}
 	for _, m := range mutate {
 		t.Run(m.name, func(t *testing.T) {
-			st := *base
-			st.Packets = append([]PacketState(nil), base.Packets...)
-			st.Counters = base.Counters
-			m.fn(&st)
-			if _, err := RestoreSim(p, Uniform, &st); err == nil {
-				t.Fatal("corrupt state restored without error")
+			for i, mode := range modes {
+				t.Run(mode.name, func(t *testing.T) {
+					base := bases[i]
+					st := *base
+					st.Packets = append([]PacketState(nil), base.Packets...)
+					m.fn(&st, mode.p)
+					if _, err := RestoreSim(mode.p, Uniform, &st); err == nil {
+						t.Fatal("corrupt state restored without error")
+					}
+				})
 			}
 		})
-	}
-
-	// The untampered state still restores.
-	if _, err := RestoreSim(p, Uniform, base); err != nil {
-		t.Fatalf("pristine state rejected: %v", err)
 	}
 }
