@@ -1,18 +1,18 @@
 package routing
 
-// fifo is a queue with amortised O(1) push/pop and a reusable backing
-// array. The previous queue representation — a plain slice dequeued
-// with q = q[1:] — marches its base pointer forward through memory, so
-// once the original capacity is consumed every append reallocates: the
-// simulator paid roughly one allocation per enqueue in steady state.
-// Here pop advances a head index instead, keeping the buffer's front
-// capacity alive; a push that finds the buffer full compacts the live
-// elements back to the start in place rather than growing. After the
-// queue reaches its high-water capacity it never allocates again,
-// which is what lets TestStepAllocsZero pin the hot loop at zero
-// allocations per cycle.
-type fifo[T any] struct {
-	buf  []T
+// fifo is a packet queue with amortised O(1) push/pop and a reusable
+// backing array. The previous queue representation — a plain slice
+// dequeued with q = q[1:] — marches its base pointer forward through
+// memory, so once the original capacity is consumed every append
+// reallocates: the simulator paid roughly one allocation per enqueue in
+// steady state. Here pop advances a head index instead, keeping the
+// buffer's front capacity alive; a push that finds the buffer full
+// compacts the live elements back to the start in place rather than
+// growing. After the queue reaches its high-water capacity it never
+// allocates again, which is what lets TestStepAllocsZero pin the hot
+// loop at zero allocations per cycle.
+type fifo struct {
+	buf  []packet
 	head int
 }
 
@@ -23,10 +23,10 @@ type fifo[T any] struct {
 // caller's own backpressure bounds occupancy (finite buffers' credit
 // scheme caps every queue at BufferLimit), in which case an
 // exact capEach makes queue growth impossible.
-func newFifos[T any](n, capEach int) []fifo[T] {
-	fs := make([]fifo[T], n)
+func newFifos(n, capEach int) []fifo {
+	fs := make([]fifo, n)
 	if capEach > 0 {
-		slab := make([]T, n*capEach)
+		slab := make([]packet, n*capEach)
 		for i := range fs {
 			fs[i].buf = slab[i*capEach : i*capEach : (i+1)*capEach]
 		}
@@ -34,20 +34,20 @@ func newFifos[T any](n, capEach int) []fifo[T] {
 	return fs
 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+func (f *fifo) len() int { return len(f.buf) - f.head }
 
 // items returns the live elements in FIFO order, head first. The slice
 // aliases the backing array: callers must not retain it across queue
 // mutations.
-func (f *fifo[T]) items() []T { return f.buf[f.head:] }
+func (f *fifo) items() []packet { return f.buf[f.head:] }
 
 // front returns the head element without removing it. The queue must
 // be non-empty.
-func (f *fifo[T]) front() T { return f.buf[f.head] }
+func (f *fifo) front() packet { return f.buf[f.head] }
 
 // pop removes the head element. When the queue empties, the buffer is
 // rewound so its full capacity is immediately reusable.
-func (f *fifo[T]) pop() {
+func (f *fifo) pop() {
 	f.head++
 	if f.head == len(f.buf) {
 		f.head = 0
@@ -58,7 +58,7 @@ func (f *fifo[T]) pop() {
 // push appends v at the tail, compacting live elements to the front of
 // the backing array first when it is full but has dead space before
 // the head.
-func (f *fifo[T]) push(v T) {
+func (f *fifo) push(v packet) {
 	if f.head > 0 && len(f.buf) == cap(f.buf) {
 		n := copy(f.buf, f.buf[f.head:])
 		f.buf = f.buf[:n]

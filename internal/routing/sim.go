@@ -53,7 +53,7 @@ type Sim struct {
 	// queues[(node*2+out)*vcs + vc]: vcs is 1 with unbounded FIFOs and
 	// numVC with finite buffers, so a packet's virtual channel is its
 	// queue index mod vcs.
-	queues []fifo[packet]
+	queues []fifo
 	vcs    int
 	// room is the finite buffers' per-cycle credit scratch (else nil).
 	room []int
@@ -137,13 +137,13 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 		// so preallocating exactly that much means no queue ever grows -
 		// the hot loop cannot allocate through a push.
 		s.vcs = numVC
-		s.queues = newFifos[packet](nodes*2*numVC, p.BufferLimit)
+		s.queues = newFifos(nodes*2*numVC, p.BufferLimit)
 		s.room = make([]int, len(s.queues))
 	} else {
 		// 16 slots of head-start capacity per queue keeps steady-state
 		// growth (and its allocations) out of the measured hot loop at
 		// moderate loads.
-		s.queues = newFifos[packet](nodes*2, 16)
+		s.queues = newFifos(nodes*2, 16)
 	}
 	return s, nil
 }
