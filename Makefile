@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-alloc bench-json vet lint lint-concurrency lint-schema fmt tables cover fault-sweep reliable-sweep adaptive-sweep fuzz serve sweep-resume chaos-sweep
+.PHONY: all build test test-short race bench bench-alloc vet lint lint-concurrency lint-schema fmt tables cover fault-sweep reliable-sweep adaptive-sweep fuzz serve sweep-resume chaos-sweep
 
 all: build vet lint lint-schema test
 
@@ -55,17 +55,12 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # The simulator hot-loop budget (EXPERIMENTS.md E24): ns/cycle from the
-# benchmark, five samples per mode so a before/after comparison is a
-# median with its spread, and the steady-state zero-allocation guard
-# on the simulator cycle loop.
+# benchmark at n=8 and n=10, five samples per mode and size so a
+# before/after comparison is a median with its spread, and the
+# steady-state zero-allocation guard on the simulator cycle loop.
 bench-alloc:
 	$(GO) test -run '^$$' -bench BenchmarkStepAllocs -benchtime 3x -count 5 ./internal/routing
 	$(GO) test -run TestStepAllocsZero -count=1 ./internal/routing
-
-# Machine-readable hot-loop snapshot (ns/cycle, allocs/cycle per
-# simulator); committed so perf regressions show up as a diff.
-bench-json:
-	$(GO) run ./cmd/bfbench -o BENCH_routing.json
 
 # The layout-and-routing query daemon (see README "bfserve").
 serve:

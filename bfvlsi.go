@@ -393,6 +393,11 @@ type AdaptiveRouterState = adaptive.State
 //
 //facade:exempt faults.MustPlan panicking convenience for internal sweeps and tests
 //facade:exempt reliable.MustNew panicking convenience for internal sweeps and tests
+//
+// The detour-budget bound reaches facade users as NewAdaptiveRouter's
+// error for a larger AdaptiveConfig.MaxDetours.
+//
+//facade:exempt routing.MaxDetours enforced by NewAdaptiveRouter, not needed by callers
 
 // RoutingModules projects a partition onto the wrapped butterfly the
 // routing simulator runs on (pass nil sb for plain-butterfly partitions),

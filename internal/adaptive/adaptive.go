@@ -121,11 +121,14 @@ type Router struct {
 var _ routing.AdaptiveRouter = (*Router)(nil)
 
 // New builds a Router; zero Config fields take their DefaultConfig
-// values once the dimension is known at Reset. Negative fields are
-// rejected.
+// values once the dimension is known at Reset. Negative fields, and a
+// MaxDetours past routing.MaxDetours, are rejected.
 func New(cfg Config) (*Router, error) {
 	if cfg.Threshold < 0 || cfg.ProbeInterval < 0 || cfg.MaxDetours < 0 || cfg.Epoch < 0 {
 		return nil, fmt.Errorf("adaptive: negative config field %+v", cfg)
+	}
+	if cfg.MaxDetours > routing.MaxDetours {
+		return nil, fmt.Errorf("adaptive: MaxDetours %d exceeds %d", cfg.MaxDetours, routing.MaxDetours)
 	}
 	return &Router{cfg: cfg}, nil
 }

@@ -20,6 +20,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err != nil {
 		t.Errorf("zero config rejected: %v", err)
 	}
+	// A packet's detour counter is 16 bits: a larger budget would let it
+	// wrap and grant detours past the budget.
+	if _, err := New(Config{MaxDetours: routing.MaxDetours + 1}); err == nil {
+		t.Error("MaxDetours past the packet's counter accepted")
+	}
+	if _, err := New(Config{MaxDetours: routing.MaxDetours}); err != nil {
+		t.Errorf("MaxDetours at the packet's counter limit rejected: %v", err)
+	}
 }
 
 // The circuit breaker: Threshold consecutive failures open a link, a

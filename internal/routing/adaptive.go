@@ -108,7 +108,7 @@ func plannedOut(dstRow, row, col int) int {
 // simulator-side accounting flags. drop is only ever true under the
 // static DropDead policy.
 func route(pk *packet, row, col, rows int, p *Params) (out int, drop, mis, detour bool) {
-	want := plannedOut(pk.dstRow, row, col)
+	want := plannedOut(int(pk.dstRow), row, col)
 	if p.Adaptive == nil {
 		out, drop, mis = chooseOut(want, col*rows+row, p.Faults, p.Policy)
 		return out, drop, mis, false
@@ -116,11 +116,11 @@ func route(pk *packet, row, col, rows int, p *Params) (out int, drop, mis, detou
 	d := p.Adaptive.Choose(Hop{
 		Node:    col*rows + row,
 		Want:    want,
-		Dst:     pk.dstCol*rows + pk.dstRow,
-		Detours: pk.detours,
-		Blocked: pk.blocked,
+		Dst:     int(pk.dstCol)*rows + int(pk.dstRow),
+		Detours: int(pk.detours),
+		Blocked: int(pk.blocked),
 	})
-	pk.blocked = d.Blocked
+	pk.blocked = int8(d.Blocked)
 	if d.Deliberate {
 		pk.detours++
 	}

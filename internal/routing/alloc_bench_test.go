@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -19,24 +20,39 @@ func allocBenchParams(bufferLimit, cycles int) Params {
 	}
 }
 
+// stepBenchSizes are the butterfly sizes BenchmarkStepAllocs times: the
+// E24 workload at n=8, and at n=10 the shape of a perfbench sim-large
+// request, where the queues outgrow the CPU caches.
+var stepBenchSizes = []struct {
+	name              string
+	n, warmup, cycles int
+}{
+	{"n8", 8, 200, 800},
+	{"n10", 10, 50, 200},
+}
+
 // BenchmarkStepAllocs measures the per-cycle cost of the simulator hot
-// loop in both buffer modes (ns/cycle and allocations). The companion TestStepAllocsZero
-// pins the steady-state allocation count to zero; this benchmark records
-// the speed those reuse fixes buy (see EXPERIMENTS.md).
+// loop in both buffer modes at each of stepBenchSizes (ns/cycle and
+// allocations). The companion TestStepAllocsZero pins the steady-state
+// allocation count to zero; this benchmark records the speed of the
+// loop (see EXPERIMENTS.md E24).
 func BenchmarkStepAllocs(b *testing.B) {
-	for _, bc := range allocModes {
-		b.Run(bc.name, func(b *testing.B) {
-			p := allocBenchParams(bc.bufferLimit, 800)
-			cyclesPerRun := float64(p.Warmup + p.Cycles)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Simulate(p); err != nil {
-					b.Fatal(err)
+	for _, sz := range stepBenchSizes {
+		for _, bc := range allocModes {
+			b.Run(sz.name+"/"+bc.name, func(b *testing.B) {
+				p := allocBenchParams(bc.bufferLimit, sz.cycles)
+				p.N, p.Warmup = sz.n, sz.warmup
+				cyclesPerRun := float64(p.Warmup + p.Cycles)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Simulate(p); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cyclesPerRun), "ns/cycle")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cyclesPerRun), "ns/cycle")
+			})
+		}
 	}
 }
 
@@ -47,9 +63,16 @@ func BenchmarkStepAllocs(b *testing.B) {
 // steady-state per-cycle loop. Runs are seeded identically; the longer
 // run replays the shorter one's random stream exactly, then keeps going.
 // faults is attached as the run's fault model (nil for the bare loop).
+//
+// The count is process-wide, so it also sees the runtime's own one-time
+// allocations when the process's first GC cycle starts its mark-worker
+// goroutines (eight objects). A run's allocation must not be what
+// decides whether that start-up lands inside a measured window: a forced
+// GC starts the workers first.
 func marginalAllocsPerCycle(t *testing.T, bufferLimit int, faults FaultModel) float64 {
 	t.Helper()
 	const c = 300
+	runtime.GC()
 	run := func(cycles int) float64 {
 		p := allocBenchParams(bufferLimit, cycles)
 		p.Faults = faults

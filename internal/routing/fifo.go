@@ -1,68 +1,110 @@
 package routing
 
-// fifo is a packet queue with amortised O(1) push/pop and a reusable
-// backing array. The previous queue representation — a plain slice
-// dequeued with q = q[1:] — marches its base pointer forward through
-// memory, so once the original capacity is consumed every append
-// reallocates: the simulator paid roughly one allocation per enqueue in
-// steady state. Here pop advances a head index instead, keeping the
-// buffer's front capacity alive; a push that finds the buffer full
-// compacts the live elements back to the start in place rather than
-// growing. After the queue reaches its high-water capacity it never
-// allocates again, which is what lets TestStepAllocsZero pin the hot
-// loop at zero allocations per cycle.
-type fifo struct {
-	buf  []packet
-	head int
+import "math"
+
+// queueSlab holds every FIFO queue of a run as a ring carved from one
+// contiguous packet slab. The per-queue bookkeeping is a dense 16-byte
+// ring record (four to a cache line) and the slots are indices into the
+// shared slab, so a link's queue costs one bookkeeping load and one slot
+// load, with no slice header or pointer to chase between them. A queue
+// that empties rewinds its head to slot 0, so a queue that drains often
+// keeps its traffic near the start of its slots.
+//
+// Finite-buffer queues are carved with exactly BufferLimit slots and
+// never grow: the engine checks full before every push, and the credit
+// scheme bounds every arrival. An unbounded queue that fills moves to a
+// fresh region of twice its size appended to the slab (see grow); the
+// region it leaves is not reused. A relocation that finds the slab full
+// doubles its capacity, so the first one reserves as much room again as
+// the whole initial carve and later ones rarely allocate: once the
+// queues reach their high-water sizes the engine never allocates, which
+// is what lets TestStepAllocsZero pin the hot loop at zero allocations
+// per cycle.
+type queueSlab struct {
+	rings []ring
+	slots []packet
 }
 
-// newFifos returns n queues whose buffers are carved out of a single
-// slab, each with capEach slots of preallocated capacity. A queue that
-// outgrows its slot reallocates individually (append abandons the slab
-// slice), so capEach is a head start, not a limit — except where the
-// caller's own backpressure bounds occupancy (finite buffers' credit
-// scheme caps every queue at BufferLimit), in which case an
-// exact capEach makes queue growth impossible.
-func newFifos(n, capEach int) []fifo {
-	fs := make([]fifo, n)
-	if capEach > 0 {
-		slab := make([]packet, n*capEach)
-		for i := range fs {
-			fs[i].buf = slab[i*capEach : i*capEach : (i+1)*capEach]
-		}
-	}
-	return fs
+// ring is one queue's bookkeeping: its slots are slots[off : off+size],
+// the front packet sits at off+head, and n packets are live. int32 keeps
+// the record at 16 bytes; a slab past 2^31 slots would hold 48 GiB of
+// packets, and grow refuses to go there.
+type ring struct {
+	off, size int32
+	head, n   int32
 }
 
-func (f *fifo) len() int { return len(f.buf) - f.head }
+// newQueueSlab returns count empty queues of size slots each (size ≥ 1).
+func newQueueSlab(count, size int) queueSlab {
+	qs := queueSlab{
+		rings: make([]ring, count),
+		slots: make([]packet, count*size),
+	}
+	for i := range qs.rings {
+		qs.rings[i] = ring{off: int32(i * size), size: int32(size)}
+	}
+	return qs
+}
 
-// items returns the live elements in FIFO order, head first. The slice
-// aliases the backing array: callers must not retain it across queue
-// mutations.
-func (f *fifo) items() []packet { return f.buf[f.head:] }
+// len returns the number of packets queued on q.
+func (qs *queueSlab) len(q int) int { return int(qs.rings[q].n) }
 
-// front returns the head element without removing it. The queue must
-// be non-empty.
-func (f *fifo) front() packet { return f.buf[f.head] }
+// front returns q's head packet. The queue must be non-empty.
+func (qs *queueSlab) front(q int) packet {
+	r := &qs.rings[q]
+	return qs.slots[r.off+r.head]
+}
 
-// pop removes the head element. When the queue empties, the buffer is
-// rewound so its full capacity is immediately reusable.
-func (f *fifo) pop() {
-	f.head++
-	if f.head == len(f.buf) {
-		f.head = 0
-		f.buf = f.buf[:0]
+// at returns q's i-th packet counting from the front (i < len(q)).
+func (qs *queueSlab) at(q, i int) packet {
+	r := &qs.rings[q]
+	j := int(r.head) + i
+	if j >= int(r.size) {
+		j -= int(r.size)
+	}
+	return qs.slots[int(r.off)+j]
+}
+
+// pop removes q's head packet. A queue that empties rewinds to slot 0.
+func (qs *queueSlab) pop(q int) {
+	r := &qs.rings[q]
+	r.n--
+	r.head++
+	if r.n == 0 || r.head == r.size {
+		r.head = 0
 	}
 }
 
-// push appends v at the tail, compacting live elements to the front of
-// the backing array first when it is full but has dead space before
-// the head.
-func (f *fifo) push(v packet) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
+// push appends pk at q's tail, growing a full queue first.
+func (qs *queueSlab) push(q int, pk packet) {
+	r := &qs.rings[q]
+	if r.n == r.size {
+		qs.grow(q)
 	}
-	f.buf = append(f.buf, v)
+	t := r.head + r.n
+	if t >= r.size {
+		t -= r.size
+	}
+	qs.slots[r.off+t] = pk
+	r.n++
+}
+
+// grow moves the full queue q to a new region of twice its size at the
+// end of the slab, unwrapping its packets to start at slot 0.
+func (qs *queueSlab) grow(q int) {
+	r := &qs.rings[q]
+	off, size := len(qs.slots), 2*int(r.size)
+	if off > math.MaxInt32-size {
+		panic("routing: queue slab outgrew 2^31 packet slots")
+	}
+	if need := off + size; need > cap(qs.slots) {
+		grown := make([]packet, off, 2*need)
+		copy(grown, qs.slots)
+		qs.slots = grown
+	}
+	qs.slots = qs.slots[:off+size]
+	old := qs.slots[r.off : r.off+r.size]
+	moved := copy(qs.slots[off:], old[r.head:])
+	copy(qs.slots[off+moved:], old[:r.head])
+	r.off, r.size, r.head = int32(off), int32(size), 0
 }

@@ -20,6 +20,7 @@ package routing
 import (
 	"fmt"
 	"io"
+	"math"
 )
 
 // Params configures one simulation run.
@@ -30,7 +31,8 @@ type Params struct {
 	Lambda float64
 	// Warmup cycles are simulated but excluded from measurements.
 	Warmup int
-	// Cycles is the number of measured cycles after warmup.
+	// Cycles is the number of measured cycles after warmup. Warmup must
+	// be non-negative, Cycles positive, and their sum at most MaxInt32.
 	Cycles int
 	// Seed drives the run's randomness (same seed, same run).
 	Seed int64
@@ -178,20 +180,29 @@ func (r *Result) CheckConservation() error {
 	return nil
 }
 
+// packet is one queued packet. Its fields are as narrow as their ranges
+// allow, so a packet is 24 bytes (TestPacketLayout): the simulator's
+// cost at large n is the memory its queues touch. The ranges are
+// enforced where values enter: buildSim bounds the run at MaxInt32
+// cycles (born, hops) and n at 14 (dstRow, dstCol, blocked), checkPacket
+// bounds restored packets, and MaxDetours bounds the detour budget.
 type packet struct {
-	dstRow, dstCol int
-	born           int
-	hops           int
 	// rid is the reliable-transport payload id (0 when no transport is
 	// attached; see Params.Reliable).
-	rid uint64
+	rid                uint64
+	dstRow, born, hops int32
 	// detours is the deliberate-detour budget the packet has spent, and
 	// blocked the column whose bit a condemned cross link kept it from
 	// fixing (-1 when none) - adaptive-router state (see adaptive.go),
 	// untouched without a router.
-	detours int
-	blocked int
+	detours int16
+	dstCol  int8
+	blocked int8
 }
+
+// MaxDetours is the largest deliberate-detour budget an adaptive
+// router may grant a packet: the packet's detour counter is 16 bits.
+const MaxDetours = math.MaxInt16
 
 // Simulate runs the synchronous simulation with uniform random traffic.
 func Simulate(p Params) (*Result, error) {

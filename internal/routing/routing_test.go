@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestSimulateParamValidation(t *testing.T) {
@@ -22,6 +23,46 @@ func TestSimulateParamValidation(t *testing.T) {
 	}
 	if _, err := Simulate(Params{N: 3, Lambda: 0.1, Cycles: 10, ModuleOf: []int{1}}); err == nil {
 		t.Error("bad ModuleOf accepted")
+	}
+}
+
+// TestNewSimRejectsRunsPastPacketFields checks the run-length bounds
+// that keep a packet's int32 birth cycle and hop count exact: a negative
+// warmup (which would shrink the run while Throughput still divides by
+// Cycles) and a warmup+cycles past MaxInt32, including sums that would
+// overflow int.
+func TestNewSimRejectsRunsPastPacketFields(t *testing.T) {
+	cases := []struct {
+		name           string
+		warmup, cycles int
+	}{
+		{"negative warmup", -5, 10},
+		{"run past int32", 1, math.MaxInt32},
+		{"warmup past int32", math.MaxInt32, 1},
+		{"sum overflows int", 10, math.MaxInt - 5},
+	}
+	for _, tc := range cases {
+		if _, err := NewSim(Params{N: 3, Lambda: 0.1, Warmup: tc.warmup, Cycles: tc.cycles}, Uniform); err == nil {
+			t.Errorf("%s: warmup %d, cycles %d accepted", tc.name, tc.warmup, tc.cycles)
+		}
+	}
+	if _, err := NewSim(Params{N: 3, Lambda: 0.1, Warmup: 0, Cycles: math.MaxInt32}, Uniform); err != nil {
+		t.Errorf("run of exactly MaxInt32 cycles rejected: %v", err)
+	}
+}
+
+// TestPacketLayout pins the sizes of the simulator's per-cycle records:
+// its cost at large n is the memory its queues and arrivals touch, so a
+// widened field is a performance regression (EXPERIMENTS.md E24).
+func TestPacketLayout(t *testing.T) {
+	if got := unsafe.Sizeof(packet{}); got != 24 {
+		t.Errorf("packet is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(arrival{}); got != 32 {
+		t.Errorf("arrival is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(ring{}); got != 16 {
+		t.Errorf("ring is %d bytes, want 16", got)
 	}
 }
 

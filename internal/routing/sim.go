@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"bfvlsi/internal/detrng"
@@ -27,6 +28,25 @@ import (
 // each physical link per cycle, and arbitration scans from the highest
 // VC down for a movable head.
 //
+// The order traverse visits links is part of the output. It is row-major:
+// row by row, and within a row column by column. Two constraints make it
+// so. First, the two links into a node leave the same column, and their
+// relative order decides both which of two packets is enqueued first
+// when they land on the same queue (drain keeps traversal order) and,
+// with finite buffers, which of them takes the last credit of that
+// queue; any order that visits each column's links by increasing row
+// keeps these. Second, with finite buffers and an adaptive router,
+// ObserveSuccess and ObserveFailure run in the same loop as the Choose
+// calls that grant moves, so a link's outcome in one column can change a
+// later decision in another: the interleaving of columns matters too.
+// Visiting column-major instead (each column's rows in turn) was measured
+// on a copy of the engine (2-core Xeon VM, Go 1.24): no faster at n=10,
+// λ=0.1 (0.91-0.98 s against 0.89-1.0 s a run), and it changed all 16 finite-buffer adaptive rows of
+// the engine's 100 golden digests and the checkpoint golden frame, while
+// every other row stayed identical. A parallel step that shards the link
+// loop has to reproduce this order, or merge the router's observations
+// in it.
+//
 // The determinism contract extends to checkpointing: a run restored
 // from a SimState is packet-for-packet (and trace-byte) identical to
 // the uninterrupted run, provided the hooks (Faults, Reliable,
@@ -35,6 +55,13 @@ import (
 // RNG position is just a draw count.
 
 const numVC = 3
+
+// unboundedSlots is the initial ring size of an unbounded queue: 192
+// bytes, three whole cache lines. At n=10, λ=0.1 over 99% of queues hold
+// at most 8 packets at any time, the few longer ones grow (queueSlab),
+// and 8 slots ran faster there than 16, whose rings spread the same
+// packets over twice the memory (E24).
+const unboundedSlots = 8
 
 // Sim is one in-flight simulation. Create with NewSim or
 // RestoreSim, advance with Step, and collect the result with Finish.
@@ -50,10 +77,10 @@ type Sim struct {
 	src *detrng.Source
 	rng *rand.Rand
 
-	// queues[(node*2+out)*vcs + vc]: vcs is 1 with unbounded FIFOs and
-	// numVC with finite buffers, so a packet's virtual channel is its
-	// queue index mod vcs.
-	queues []fifo
+	// queues holds queue (node*2+out)*vcs + vc for every output and VC:
+	// vcs is 1 with unbounded FIFOs and numVC with finite buffers, so a
+	// packet's virtual channel is its queue index mod vcs.
+	queues queueSlab
 	vcs    int
 	// room is the finite buffers' per-cycle credit scratch (else nil).
 	room []int
@@ -73,12 +100,12 @@ type Sim struct {
 // link this cycle, to be delivered or enqueued at (row, col) on VC vc
 // once every link has moved. With finite buffers it also carries the
 // next-hop decision made at grant time, so the drain does not decide
-// twice. The narrow fields keep the record at 72 bytes, below the size
-// the compiler copies with a slower block move on every append.
+// twice. The narrow fields (rows ≤ 2^14, n ≤ 14) keep the record at 32
+// bytes, two to a cache line (TestPacketLayout).
 type arrival struct {
 	pk             packet
-	row, col       int32
-	vc, out        uint8
+	row            uint16
+	col, vc, out   uint8
 	drop, mis, det bool
 }
 
@@ -116,11 +143,22 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 	if p.Cycles <= 0 {
 		return nil, fmt.Errorf("routing: need positive measured cycles")
 	}
+	if p.Warmup < 0 {
+		return nil, fmt.Errorf("routing: negative warmup %d", p.Warmup)
+	}
+	// A packet's birth cycle and hop count are int32.
+	if p.Cycles > math.MaxInt32-p.Warmup {
+		return nil, fmt.Errorf("routing: warmup %d + cycles %d exceeds %d", p.Warmup, p.Cycles, math.MaxInt32)
+	}
 	n := p.N
 	rows := 1 << uint(n)
 	nodes := n * rows
 	if p.ModuleOf != nil && len(p.ModuleOf) != nodes {
 		return nil, fmt.Errorf("routing: ModuleOf has %d entries, want %d", len(p.ModuleOf), nodes)
+	}
+	// The queue slab indexes its slots with int32.
+	if p.BufferLimit > math.MaxInt32/(nodes*2*numVC) {
+		return nil, fmt.Errorf("routing: buffer limit %d needs more than 2^31 queue slots", p.BufferLimit)
 	}
 	s := &Sim{
 		p: p, pattern: pattern,
@@ -134,16 +172,15 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 	s.rng = rand.New(s.src)
 	if p.BufferLimit > 0 {
 		// Credit backpressure bounds every VC queue at BufferLimit slots,
-		// so preallocating exactly that much means no queue ever grows -
-		// the hot loop cannot allocate through a push.
+		// so carving exactly that much means no queue ever grows - the
+		// hot loop cannot allocate through a push.
 		s.vcs = numVC
-		s.queues = newFifos(nodes*2*numVC, p.BufferLimit)
-		s.room = make([]int, len(s.queues))
+		s.queues = newQueueSlab(nodes*2*numVC, p.BufferLimit)
+		s.room = make([]int, nodes*2*numVC)
 	} else {
-		// 16 slots of head-start capacity per queue keeps steady-state
-		// growth (and its allocations) out of the measured hot loop at
-		// moderate loads.
-		s.queues = newFifos(nodes*2, 16)
+		// Queues start at unboundedSlots and double when full; see the
+		// constant for the choice.
+		s.queues = newQueueSlab(nodes*2, unboundedSlots)
 	}
 	return s, nil
 }
@@ -238,7 +275,7 @@ func (s *Sim) inject(measured bool) error {
 				}
 				continue
 			}
-			pk := packet{dstRow: dr, dstCol: dc, born: s.cycle, blocked: -1}
+			pk := packet{dstRow: int32(dr), dstCol: int8(dc), born: int32(s.cycle), blocked: -1}
 			refused, learned := s.refuse(dst)
 			if p.Reliable != nil && !learned {
 				// Registered before the reachability and buffer checks,
@@ -274,7 +311,7 @@ func (s *Sim) retransmit() {
 			p.Reliable.Deferred(c.ID) // dead sources cannot resend
 			continue
 		}
-		pk := packet{dstRow: c.Dst % rows, dstCol: c.Dst / rows, born: s.cycle, rid: c.ID, blocked: -1}
+		pk := packet{dstRow: int32(c.Dst % rows), dstCol: int8(c.Dst / rows), born: int32(s.cycle), rid: c.ID, blocked: -1}
 		if refused, _ := s.refuse(c.Dst); !refused && s.offer(pk, c.Src) {
 			p.Reliable.Deferred(c.ID)
 			continue
@@ -331,7 +368,7 @@ func (s *Sim) place(q int, pk packet, drop, mis, det bool) {
 	if det {
 		s.res.Detours++
 	}
-	s.queues[q].push(pk)
+	s.queues.push(q, pk)
 }
 
 // expire discards dead queue heads: copies older than the TTL into
@@ -341,18 +378,18 @@ func (s *Sim) expire() {
 	if p.TTL <= 0 && p.Reliable == nil {
 		return
 	}
-	for qi := range s.queues {
-		q := &s.queues[qi]
-		for q.len() > 0 {
-			head := q.front()
+	qs := &s.queues
+	for q := range qs.rings {
+		for qs.len(q) > 0 {
+			head := qs.front(q)
 			if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
 				res.GaveUp++
-			} else if p.TTL > 0 && s.cycle-head.born >= p.TTL {
+			} else if p.TTL > 0 && s.cycle-int(head.born) >= p.TTL {
 				res.Dropped++
 			} else {
 				break
 			}
-			q.pop()
+			qs.pop(q)
 		}
 	}
 }
@@ -366,16 +403,16 @@ func (s *Sim) expire() {
 // so a moved head re-examined at its new queue re-chooses the same
 // output - no ping-pong.
 func (s *Sim) replan() {
-	p, res, rows, vcs := &s.p, s.res, s.rows, s.vcs
+	p, res, rows, vcs, qs := &s.p, s.res, s.rows, s.vcs, &s.queues
 	for node := 0; node < s.nodes; node++ {
 		row, col := node%rows, node/rows
 		for out := 0; out < 2; out++ {
 			for vc := 0; vc < vcs; vc++ {
 				q := (node*2+out)*vcs + vc
-				if s.queues[q].len() == 0 {
+				if qs.len(q) == 0 {
 					continue
 				}
-				pk := s.queues[q].front()
+				pk := qs.front(q)
 				nout, _, _, det := route(&pk, row, col, rows, p)
 				if nout == out {
 					continue
@@ -388,8 +425,8 @@ func (s *Sim) replan() {
 					res.Detours++
 				}
 				res.Reroutes++
-				s.queues[q].pop()
-				s.queues[nq].push(pk)
+				qs.pop(q)
+				qs.push(nq, pk)
 			}
 		}
 	}
@@ -401,10 +438,10 @@ func (s *Sim) replan() {
 // credit for its next queue; credits are computed from start-of-phase
 // occupancy (conservative) and consumed as moves are granted.
 func (s *Sim) traverse(measured bool) {
-	p, res, queues, room := &s.p, s.res, s.queues, s.room
+	p, res, qs, room := &s.p, s.res, &s.queues, s.room
 	n, rows, vcs := s.n, s.rows, s.vcs
 	for i := range room {
-		room[i] = p.BufferLimit - queues[i].len()
+		room[i] = p.BufferLimit - qs.len(i)
 	}
 	arrivals := s.arrivals[:0]
 	for row := 0; row < rows; row++ {
@@ -419,7 +456,7 @@ func (s *Sim) traverse(measured bool) {
 				}
 				for vc := vcs - 1; vc >= 0; vc-- {
 					q := link*vcs + vc
-					if queues[q].len() == 0 {
+					if qs.len(q) == 0 {
 						continue
 					}
 					if p.Faults != nil && p.Faults.LinkDown(node, out) {
@@ -432,12 +469,12 @@ func (s *Sim) traverse(measured bool) {
 						}
 						break
 					}
-					pk := queues[q].front()
+					pk := qs.front(q)
 					nvc, nout, drop, mis, det := vc, 0, false, false, false
 					if nextCol == 0 && vc < vcs-1 {
 						nvc++ // dateline crossing
 					}
-					if room != nil && (pk.dstRow != nr || pk.dstCol != nextCol) {
+					if room != nil && (int(pk.dstRow) != nr || int(pk.dstCol) != nextCol) {
 						// Finite buffers route the next hop here, once, on
 						// a scratch copy: a move the credit check denies
 						// discards the decision whole (Choose is a pure
@@ -456,7 +493,7 @@ func (s *Sim) traverse(measured bool) {
 							room[nq]--
 						}
 					}
-					queues[q].pop()
+					qs.pop(q)
 					pk.hops++
 					if p.Adaptive != nil {
 						p.Adaptive.ObserveSuccess(link)
@@ -464,7 +501,7 @@ func (s *Sim) traverse(measured bool) {
 					if p.ModuleOf != nil && measured && p.ModuleOf[node] != p.ModuleOf[nextCol*rows+nr] {
 						s.crossings++
 					}
-					arrivals = append(arrivals, arrival{pk: pk, row: int32(nr), col: int32(nextCol),
+					arrivals = append(arrivals, arrival{pk: pk, row: uint16(nr), col: uint8(nextCol),
 						vc: uint8(nvc), out: uint8(nout), drop: drop, mis: mis, det: det})
 					break
 				}
@@ -480,8 +517,8 @@ func (s *Sim) drain(measured bool) {
 	for i := range s.arrivals {
 		a := &s.arrivals[i]
 		row, col := int(a.row), int(a.col)
-		if a.pk.dstRow == row && a.pk.dstCol == col {
-			born := a.pk.born
+		if int(a.pk.dstRow) == row && int(a.pk.dstCol) == col {
+			born := int(a.pk.born)
 			if p.Reliable != nil {
 				v, born0 := p.Reliable.Arrive(s.cycle, a.pk.rid)
 				switch v {
@@ -519,14 +556,14 @@ func (s *Sim) drain(measured bool) {
 
 // full reports whether queue q has no free slot (never, when unbounded).
 func (s *Sim) full(q int) bool {
-	return s.p.BufferLimit > 0 && s.queues[q].len() >= s.p.BufferLimit
+	return s.p.BufferLimit > 0 && s.queues.len(q) >= s.p.BufferLimit
 }
 
 // backlog returns the total number of queued packets.
 func (s *Sim) backlog() int {
 	total := 0
-	for qi := range s.queues {
-		total += s.queues[qi].len()
+	for q := range s.queues.rings {
+		total += s.queues.len(q)
 	}
 	return total
 }
@@ -541,8 +578,8 @@ func (s *Sim) Finish() (*Result, error) {
 		}
 	}
 	res := *s.res
-	for qi := range s.queues {
-		l := s.queues[qi].len()
+	for q := range s.queues.rings {
+		l := s.queues.len(q)
 		res.Backlog += l
 		if l > res.MaxQueue {
 			res.MaxQueue = l

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"bfvlsi/internal/detrng"
@@ -67,12 +68,13 @@ func (s *Sim) State() *SimState {
 	if backlog := s.backlog(); backlog > 0 {
 		st.Packets = make([]PacketState, 0, backlog)
 	}
-	for qi := range s.queues {
-		for _, pk := range s.queues[qi].items() {
+	for q := range s.queues.rings {
+		for i := 0; i < s.queues.len(q); i++ {
+			pk := s.queues.at(q, i)
 			st.Packets = append(st.Packets, PacketState{
-				Queue: qi, DstRow: pk.dstRow, DstCol: pk.dstCol,
-				Born: pk.born, Hops: pk.hops, RID: pk.rid,
-				Detours: pk.detours, Blocked: pk.blocked, VC: qi % s.vcs,
+				Queue: q, DstRow: int(pk.dstRow), DstCol: int(pk.dstCol),
+				Born: int(pk.born), Hops: int(pk.hops), RID: pk.rid,
+				Detours: int(pk.detours), Blocked: int(pk.blocked), VC: q % s.vcs,
 			})
 		}
 	}
@@ -110,9 +112,9 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 		if s.full(ps.Queue) {
 			return nil, fmt.Errorf("routing: restore packet %d: queue %d over BufferLimit %d", i, ps.Queue, p.BufferLimit)
 		}
-		s.queues[ps.Queue].push(packet{
-			dstRow: ps.DstRow, dstCol: ps.DstCol, born: ps.Born,
-			hops: ps.Hops, rid: ps.RID, detours: ps.Detours, blocked: ps.Blocked,
+		s.queues.push(ps.Queue, packet{
+			dstRow: int32(ps.DstRow), dstCol: int8(ps.DstCol), born: int32(ps.Born),
+			hops: int32(ps.Hops), rid: ps.RID, detours: int16(ps.Detours), blocked: int8(ps.Blocked),
 		})
 	}
 	s.cycle = st.Cycle
@@ -127,10 +129,13 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 }
 
 // checkPacket validates one exported packet against the engine's
-// geometry and queue layout.
+// geometry and queue layout, and against the ranges of packet's narrow
+// fields: the destination and blocked column are bounded by n ≤ 14 and
+// the birth cycle by the run length ≤ MaxInt32 (buildSim), hops and
+// detours by their own checks here.
 func (s *Sim) checkPacket(ps *PacketState, cycle int) error {
-	if ps.Queue < 0 || ps.Queue >= len(s.queues) {
-		return fmt.Errorf("queue %d out of [0,%d)", ps.Queue, len(s.queues))
+	if ps.Queue < 0 || ps.Queue >= len(s.queues.rings) {
+		return fmt.Errorf("queue %d out of [0,%d)", ps.Queue, len(s.queues.rings))
 	}
 	if ps.DstRow < 0 || ps.DstRow >= s.rows || ps.DstCol < 0 || ps.DstCol >= s.n {
 		return fmt.Errorf("destination (%d,%d) outside %dx%d", ps.DstRow, ps.DstCol, s.rows, s.n)
@@ -138,8 +143,8 @@ func (s *Sim) checkPacket(ps *PacketState, cycle int) error {
 	if ps.Born < 0 || ps.Born >= cycle {
 		return fmt.Errorf("born %d outside [0,%d)", ps.Born, cycle)
 	}
-	if ps.Hops < 0 || ps.Detours < 0 {
-		return fmt.Errorf("negative hops %d or detours %d", ps.Hops, ps.Detours)
+	if ps.Hops < 0 || ps.Hops > math.MaxInt32 || ps.Detours < 0 || ps.Detours > MaxDetours {
+		return fmt.Errorf("hops %d or detours %d outside [0,%d] or [0,%d]", ps.Hops, ps.Detours, math.MaxInt32, MaxDetours)
 	}
 	if ps.Blocked < -1 || ps.Blocked >= s.n {
 		return fmt.Errorf("blocked column %d outside [-1,%d)", ps.Blocked, s.n)

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -116,6 +117,8 @@ func TestRestoreSimRejectsCorrupt(t *testing.T) {
 		{"dest out of range", func(st *SimState, _ Params) { st.Packets[0].DstRow = 1 << 10 }},
 		{"born in the future", func(st *SimState, _ Params) { st.Packets[0].Born = st.Cycle + 5 }},
 		{"vc mismatch", func(st *SimState, _ Params) { st.Packets[0].VC = (st.Packets[0].VC + 1) % numVC }},
+		{"hops past int32", func(st *SimState, _ Params) { st.Packets[0].Hops = math.MaxInt32 + 1 }},
+		{"detours past int16", func(st *SimState, _ Params) { st.Packets[0].Detours = MaxDetours + 1 }},
 		{"counter drift", func(st *SimState, _ Params) { st.Counters.TotalInjected += 3 }},
 		{"derived field set", func(st *SimState, _ Params) { st.Counters.Backlog = 1 }},
 		{"wrong nodes", func(st *SimState, _ Params) { st.Counters.Nodes++ }},

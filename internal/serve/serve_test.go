@@ -468,6 +468,7 @@ func TestCheckpointValidation(t *testing.T) {
 		"negative cycle": `{"n":3,"lambda":0.2,"warmup":10,"cycles":40,"cycle":-1}`,
 		"dim over cap":   `{"n":9,"lambda":0.2,"cycles":40,"cycle":0}`,
 		"unknown field":  `{"n":3,"lambda":0.2,"cycles":40,"cycle":0,"nope":1}`,
+		"detour budget":  `{"n":3,"lambda":0.2,"cycles":40,"cycle":5,"adaptive":{"maxDetours":32768}}`,
 	}
 	for name, body := range cases {
 		resp, got := post(t, ts, "/v1/checkpoint", body)

@@ -81,8 +81,8 @@ func (s *AdaptiveSpec) Config() adaptive.Config {
 
 // Validate checks the spec's invariants.
 func (s *AdaptiveSpec) Validate() error {
-	if s.Threshold < 0 || s.ProbeInterval < 0 || s.MaxDetours < 0 || s.Epoch < 0 {
-		return fmt.Errorf("snapshot: negative adaptive config field %+v", *s)
+	if _, err := adaptive.New(s.Config()); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
 }
