@@ -405,6 +405,11 @@ func main() {
 	if err := o.validate(); err != nil {
 		usageError(set, err)
 	}
+	run(o)
+}
+
+// run dispatches a validated option set to its mode.
+func run(o *options) {
 	switch {
 	case o.sweepRates != "" && o.adaptiveOn:
 		runAdaptiveSweep(o)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -178,42 +180,59 @@ func captureStdout(t *testing.T, fn func()) []byte {
 	return <-done
 }
 
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current output")
+
 // The sweep printers are the tool's public record: their tables land in
-// docs and regression baselines, so two invocations with one seed must
-// emit identical bytes. This is the cmd-level counterpart of the
-// experiments' byte-identity test and the runtime net behind the
-// maporder analyzer.
+// docs and regression baselines. Each case runs one sweep family at
+// n = 4 with short cycles and compares the table or CSV byte for byte
+// against testdata/<case>.golden; the cases are small enough to run
+// under -short. Regenerate with `go test ./cmd/bffault -run
+// TestSweepPrintersByteIdentical -update` only for a deliberate change
+// of output.
 func TestSweepPrintersByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs skipped in -short mode")
-	}
-	base := []string{"-n", "4", "-warmup", "50", "-cycles", "200", "-seed", "3", "-sweep", "0,0.05"}
+	base := []string{"-n", "4", "-warmup", "50", "-cycles", "200", "-seed", "3"}
+	sweep := append([]string{"-sweep", "0,0.05"}, base...)
+	compare := append([]string{"-compare", "-kills", "0,1,2"}, base...)
 	cases := []struct {
 		name string
 		args []string
-		run  func(*options)
 	}{
-		{"sweep", base, runSweep},
-		{"sweep csv", append([]string{"-csv"}, base...), runSweep},
-		{"reliable sweep", append([]string{"-reliable"}, base...), runReliableSweep},
-		{"adaptive sweep", append([]string{"-adaptive"}, base...), runAdaptiveSweep},
+		{"sweep", sweep},
+		{"compare", compare},
+		{"reliable sweep", append([]string{"-reliable"}, sweep...)},
+		{"reliable compare", append([]string{"-reliable"}, compare...)},
+		{"reliable outage sweep", append([]string{"-reliable", "-outage", "20"}, sweep...)},
+		{"adaptive sweep", append([]string{"-adaptive"}, sweep...)},
+		{"adaptive compare", append([]string{"-adaptive"}, compare...)},
+		{"buffered sweep", append([]string{"-buffers", "4"}, sweep...)},
 	}
 	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			o, err := parseOptions(tc.args)
-			if err != nil {
-				t.Fatal(err)
+		for _, csv := range []bool{false, true} {
+			name, args := tc.name, tc.args
+			if csv {
+				name, args = name+" csv", append([]string{"-csv"}, args...)
 			}
-			first := captureStdout(t, func() { tc.run(o) })
-			second := captureStdout(t, func() { tc.run(o) })
-			if len(first) == 0 {
-				t.Fatal("printer produced no output")
-			}
-			if !bytes.Equal(first, second) {
-				t.Fatalf("output differs between identical runs:\nrun1 %d bytes, run2 %d bytes\n--- run1 ---\n%s\n--- run2 ---\n%s",
-					len(first), len(second), first, second)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				o, err := parseOptions(args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := captureStdout(t, func() { run(o) })
+				path := filepath.Join("testdata", strings.ReplaceAll(name, " ", "_")+".golden")
+				if *update {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+				}
+			})
+		}
 	}
 }
