@@ -146,24 +146,12 @@ const (
 // caller sets none (16n cycles).
 func DefaultPacketTTL(n int) int { return faults.DefaultTTL(n) }
 
-// FaultSweep measures throughput and latency degradation over a list of
-// random link fault rates.
-func FaultSweep(base RoutingParams, rates []float64) []faults.Point {
-	return faults.Sweep(base, rates)
-}
-
 // FaultScheme is a packaging variant viewed as a set of failure domains.
 type FaultScheme = faults.Scheme
 
 // StandardFaultSchemes returns the row, nucleus, and naive packagings of
 // B_n as failure-domain schemes.
 func StandardFaultSchemes(n int) ([]FaultScheme, error) { return faults.StandardSchemes(n) }
-
-// ModuleKillSweep fails whole modules under each scheme and measures the
-// degradation - the packaging comparison of the fault subsystem.
-func ModuleKillSweep(base RoutingParams, schemes []FaultScheme, kills []int) []faults.SchemePoint {
-	return faults.ModuleKillSweep(base, schemes, kills)
-}
 
 // ReliableConfig tunes the end-to-end retransmission transport: base
 // timeout, retry budget, backoff cap, and seeded jitter.
@@ -181,34 +169,6 @@ type ReliableTransport = reliable.Transport
 // NewReliableTransport returns a transport with the given schedule.
 func NewReliableTransport(cfg ReliableConfig) (*ReliableTransport, error) {
 	return reliable.New(cfg)
-}
-
-// ReliableMode is one recovery strategy (policy x retransmission) of a
-// reliability sweep.
-type ReliableMode = reliable.Mode
-
-// StandardReliableModes returns the four strategies the degradation
-// sweeps compare: drop, misroute, and each with retransmission.
-func StandardReliableModes() []ReliableMode { return reliable.StandardModes() }
-
-// ReliableSweep measures goodput, p99 delivery latency, and
-// retransmission overhead against permanent link faults.
-func ReliableSweep(base RoutingParams, cfg ReliableConfig, modes []ReliableMode, rates []float64) []reliable.Point {
-	return reliable.Sweep(base, cfg, modes, rates)
-}
-
-// ReliableOutageSweep is the transient-fault reliability sweep: random
-// link outages of the given duration, the regime where retransmission
-// genuinely recovers goodput.
-func ReliableOutageSweep(base RoutingParams, cfg ReliableConfig, modes []ReliableMode, rates []float64, outage int) []reliable.Point {
-	return reliable.OutageSweep(base, cfg, modes, rates, outage)
-}
-
-// ReliableModuleKillSweep is the packaging comparison with recovery in
-// the loop: whole modules die under each scheme, every recovery mode is
-// measured on the same wreckage.
-func ReliableModuleKillSweep(base RoutingParams, cfg ReliableConfig, modes []ReliableMode, schemes []FaultScheme, kills []int) []reliable.SchemePoint {
-	return reliable.ModuleKillSweep(base, cfg, modes, schemes, kills)
 }
 
 // AdaptiveConfig tunes the fault-aware adaptive router: breaker
@@ -230,25 +190,47 @@ func NewAdaptiveRouter(cfg AdaptiveConfig) (*AdaptiveRouter, error) { return ada
 // AdaptiveStats summarizes what a router learned during a run.
 type AdaptiveStats = adaptive.Stats
 
-// AdaptiveMode is one recovery strategy of an adaptive sweep (static
-// policy, adaptive router, or adaptive plus retransmission).
-type AdaptiveMode = adaptive.Mode
+// SweepMode is one recovery strategy of a fault sweep: a static
+// dead-link policy or the adaptive router, plus the transport riding
+// along.
+type SweepMode = adaptive.Mode
+
+// SweepTransport selects the end-to-end transport of a sweep mode.
+type SweepTransport = adaptive.Transport
+
+// Re-exported sweep transports: none (the plain degradation sweep), a
+// pure observer that measures payload delivery without perturbing the
+// run, and live retransmission.
+const (
+	NoTransport         = adaptive.NoTransport
+	ObserveTransport    = adaptive.Observe
+	RetransmitTransport = adaptive.Retransmit
+)
+
+// StandardReliableModes returns the four strategies the E22
+// retransmission sweeps compare: drop, misroute, and each with
+// retransmission.
+func StandardReliableModes() []SweepMode { return adaptive.ReliableModes() }
 
 // StandardAdaptiveModes returns the four strategies the E23 sweeps
 // compare: drop, misroute, adaptive, and adaptive with retransmission.
-func StandardAdaptiveModes() []AdaptiveMode { return adaptive.StandardModes() }
+func StandardAdaptiveModes() []SweepMode { return adaptive.StandardModes() }
 
-// AdaptiveSweep measures goodput degradation over permanent link fault
-// rates for every recovery mode, conservation-checked per cell.
-func AdaptiveSweep(base RoutingParams, cfg AdaptiveConfig, rcfg ReliableConfig, modes []AdaptiveMode, rates []float64) []adaptive.Point {
-	return adaptive.Sweep(base, cfg, rcfg, modes, rates)
+// SweepCell is one measured (mode, fault level) cell of a fault sweep.
+type SweepCell = adaptive.Cell
+
+// FaultSweep measures every mode over a list of link fault rates:
+// permanent faults for outage 0, repairable outages of that many cycles
+// otherwise. Every cell is conservation-checked.
+func FaultSweep(base RoutingParams, acfg AdaptiveConfig, rcfg ReliableConfig, modes []SweepMode, rates []float64, outage int) []SweepCell {
+	return adaptive.Sweep(base, acfg, rcfg, modes, rates, outage)
 }
 
-// AdaptiveModuleKillSweep is experiment E23: whole modules die under
-// each packaging scheme, and the full recovery ladder (drop / misroute /
-// adaptive / adaptive+retx) is measured on the same wreckage.
-func AdaptiveModuleKillSweep(base RoutingParams, cfg AdaptiveConfig, rcfg ReliableConfig, modes []AdaptiveMode, schemes []FaultScheme, kills []int) []adaptive.SchemePoint {
-	return adaptive.ModuleKillSweep(base, cfg, rcfg, modes, schemes, kills)
+// ModuleKillSweep fails whole modules under each packaging scheme and
+// measures every mode on the same wreckage - the packaging comparison of
+// the fault subsystem.
+func ModuleKillSweep(base RoutingParams, acfg AdaptiveConfig, rcfg ReliableConfig, modes []SweepMode, schemes []FaultScheme, kills []int) []SweepCell {
+	return adaptive.ModuleKillSweep(base, acfg, rcfg, modes, schemes, kills)
 }
 
 // Pattern selects the destination distribution of injected packets.

@@ -37,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -405,26 +406,12 @@ func main() {
 	if err := o.validate(); err != nil {
 		usageError(set, err)
 	}
-	run(o)
-}
-
-// run dispatches a validated option set to its mode.
-func run(o *options) {
-	switch {
-	case o.sweepRates != "" && o.adaptiveOn:
-		runAdaptiveSweep(o)
-	case o.sweepRates != "" && o.reliableOn:
-		runReliableSweep(o)
-	case o.sweepRates != "":
-		runSweep(o)
-	case o.compare && o.adaptiveOn:
-		runAdaptiveCompare(o)
-	case o.compare && o.reliableOn:
-		runReliableCompare(o)
-	case o.compare:
-		runCompare(o)
-	default:
+	if o.sweepRates == "" && !o.compare {
 		runOnce(o)
+		return
+	}
+	if err := report(o, os.Stdout); err != nil {
+		fatal(err)
 	}
 }
 
@@ -551,250 +538,182 @@ func runOnce(o *options) {
 	}
 }
 
-func runSweep(o *options) {
-	rates, err := parseFloats(o.sweepRates)
-	if err != nil {
-		fatal(err)
-	}
-	pts := faults.Sweep(o.baseParams(), rates)
-	if o.csv {
-		fmt.Println("rate,dead_links,throughput,efficiency,latency,dropped,unreachable,misroutes,backlog")
-		for _, pt := range pts {
-			if pt.Err != nil {
-				fatal(pt.Err)
-			}
-			r := pt.Result
-			fmt.Printf("%g,%d,%.4f,%.4f,%.2f,%d,%d,%d,%d\n",
-				pt.Rate, pt.DeadLinks, r.Throughput, r.Throughput/o.lambda,
-				r.AvgLatency, r.Dropped, r.Unreachable, r.Misroutes, r.Backlog)
-		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "rate\tdead\tthroughput\tefficiency\tlatency\tdropped\tunreach\tmisroutes\tbacklog\n")
-	for _, pt := range pts {
-		if pt.Err != nil {
-			fatal(pt.Err)
-		}
-		r := pt.Result
-		fmt.Fprintf(w, "%g\t%d\t%.4f\t%.1f%%\t%.1f\t%d\t%d\t%d\t%d\n",
-			pt.Rate, pt.DeadLinks, r.Throughput, 100*r.Throughput/o.lambda,
-			r.AvgLatency, r.Dropped, r.Unreachable, r.Misroutes, r.Backlog)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
+// column is one field of a sweep report: its header in the aligned
+// table and in CSV ("" leaves it out of that format), and how each
+// format prints a cell.
+type column struct {
+	head, csvHead string
+	table, csv    func(c *adaptive.Cell) string
 }
 
-// runReliableSweep compares the recovery modes (policy x retransmission)
-// across fault rates: permanent link faults by default, repairable
-// outages of -outage cycles when set. Every point is conservation-checked
-// by the sweep itself; any inconsistency aborts before a row is printed.
-func runReliableSweep(o *options) {
-	cfg := o.reliableConfig()
-	modes := reliable.StandardModes()
-	rates, err := parseFloats(o.sweepRates)
+// col prints v with the same verb in both formats.
+func col(head, csvHead, verb string, v func(c *adaptive.Cell) any) column {
+	f := func(c *adaptive.Cell) string { return fmt.Sprintf(verb, v(c)) }
+	return column{head, csvHead, f, f}
+}
+
+// pct prints a fraction as a percentage in the table and raw in CSV.
+func pct(head, csvHead string, v func(c *adaptive.Cell) float64) column {
+	return column{head, csvHead,
+		func(c *adaptive.Cell) string { return fmt.Sprintf("%.1f%%", 100*v(c)) },
+		func(c *adaptive.Cell) string { return fmt.Sprintf("%.4f", v(c)) }}
+}
+
+// csvOnly leaves a column out of the aligned table.
+func csvOnly(c column) column {
+	c.head = ""
+	return c
+}
+
+// report runs the sweep (-sweep) or packaging comparison (-compare) the
+// flags select - plain, with the -reliable retransmission modes (E22), or
+// with the -adaptive recovery ladder (E23) - and writes it to w as an
+// aligned table or CSV. The plain family attaches no transport. Every
+// cell is conservation-checked by the sweep; any failure aborts before a
+// row is written.
+func report(o *options, w io.Writer) error {
+	cells, err := sweep(o)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	var pts []reliable.Point
-	if o.outage > 0 {
-		pts = reliable.OutageSweep(o.baseParams(), cfg, modes, rates, o.outage)
+	cols, footer := layout(o)
+	return write(w, o.csv, cols, footer, cells)
+}
+
+// sweep runs the cells of the selected family.
+func sweep(o *options) ([]adaptive.Cell, error) {
+	base := o.baseParams()
+	modes := []adaptive.Mode{{Name: o.policy, Policy: base.Policy}}
+	switch {
+	case o.adaptiveOn:
+		modes = adaptive.StandardModes()
+	case o.reliableOn:
+		modes = adaptive.ReliableModes()
+	}
+	var cells []adaptive.Cell
+	if o.compare {
+		schemes, err := faults.StandardSchemes(o.dim)
+		if err != nil {
+			return nil, err
+		}
+		kills, err := parseInts(o.kills)
+		if err != nil {
+			return nil, err
+		}
+		cells = adaptive.ModuleKillSweep(base, o.adaptiveConfig(), o.reliableConfig(), modes, schemes, kills)
 	} else {
-		pts = reliable.Sweep(o.baseParams(), cfg, modes, rates)
+		rates, err := parseFloats(o.sweepRates)
+		if err != nil {
+			return nil, err
+		}
+		cells = adaptive.Sweep(base, o.adaptiveConfig(), o.reliableConfig(), modes, rates, o.outage)
 	}
-	for _, pt := range pts {
-		if pt.Err != nil {
-			fatal(pt.Err)
+	for i := range cells {
+		if cells[i].Err != nil {
+			return nil, cells[i].Err
 		}
 	}
-	if o.csv {
-		fmt.Println("mode,rate,dead_links,outages,goodput,efficiency,p99_latency,retransmitted,overhead,duplicates,gaveup,abandoned,pending")
-		for _, pt := range pts {
-			r := pt.Result
-			fmt.Printf("%s,%g,%d,%d,%.4f,%.4f,%.0f,%d,%.4f,%d,%d,%d,%d\n",
-				pt.Mode, pt.Rate, pt.DeadLinks, pt.Outages, pt.Goodput, pt.Goodput/o.lambda,
-				pt.P99Latency, r.Retransmitted, pt.Overhead,
-				r.DuplicatesDropped, r.GaveUp, pt.Stats.Abandoned, pt.Stats.Pending)
-		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "mode\trate\tdead\toutages\tgoodput\tefficiency\tp99 lat\tretx\toverhead\tdups\tgaveup\n")
-	for _, pt := range pts {
-		r := pt.Result
-		fmt.Fprintf(w, "%s\t%g\t%d\t%d\t%.4f\t%.1f%%\t%.0f\t%d\t%.1f%%\t%d\t%d\n",
-			pt.Mode, pt.Rate, pt.DeadLinks, pt.Outages, pt.Goodput, 100*pt.Goodput/o.lambda,
-			pt.P99Latency, r.Retransmitted, 100*pt.Overhead, r.DuplicatesDropped, r.GaveUp)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	if o.outage == 0 {
-		fmt.Println("(permanent faults: deterministic retries retrace the same path, so retx modes mostly pay overhead; add -outage for the repairable regime, or -adaptive for routes that change)")
-	}
+	return cells, nil
 }
 
-// runReliableCompare is the packaging comparison with recovery in the
-// loop: modules die whole under each scheme, and every recovery mode is
-// measured on the same wreckage.
-func runReliableCompare(o *options) {
-	schemes, err := faults.StandardSchemes(o.dim)
-	if err != nil {
-		fatal(err)
-	}
-	killCounts, err := parseInts(o.kills)
-	if err != nil {
-		fatal(err)
-	}
-	pts := reliable.ModuleKillSweep(o.baseParams(), o.reliableConfig(), reliable.StandardModes(), schemes, killCounts)
-	for _, pt := range pts {
-		if pt.Err != nil {
-			fatal(pt.Err)
+// layout returns the selected family's columns and the note printed
+// under its table.
+func layout(o *options) (cols []column, footer string) {
+	var (
+		mode       = col("mode", "mode", "%s", func(c *adaptive.Cell) any { return c.Mode })
+		scheme     = col("scheme", "scheme", "%s", func(c *adaptive.Cell) any { return c.Scheme })
+		rate       = col("rate", "rate", "%g", func(c *adaptive.Cell) any { return c.Rate })
+		deadLinks  = col("dead", "dead_links", "%d", func(c *adaptive.Cell) any { return c.DeadLinks })
+		outages    = col("outages", "outages", "%d", func(c *adaptive.Cell) any { return c.Outages })
+		killed     = col("killed", "killed", "%d", func(c *adaptive.Cell) any { return c.Killed })
+		deadNodes  = col("dead nodes", "dead_nodes", "%d", func(c *adaptive.Cell) any { return c.DeadNodes })
+		deadFrac   = pct("dead frac", "dead_frac", func(c *adaptive.Cell) float64 { return c.DeadNodeFrac })
+		throughput = col("throughput", "throughput", "%.4f", func(c *adaptive.Cell) any { return c.Result.Throughput })
+		goodput    = col("goodput", "goodput", "%.4f", func(c *adaptive.Cell) any { return c.Goodput })
+		efficiency = column{"efficiency", "efficiency",
+			func(c *adaptive.Cell) string { return fmt.Sprintf("%.1f%%", 100*c.Goodput/o.lambda) },
+			func(c *adaptive.Cell) string { return fmt.Sprintf("%.4f", c.Goodput/o.lambda) }}
+		latency = column{"latency", "latency",
+			func(c *adaptive.Cell) string { return fmt.Sprintf("%.1f", c.Result.AvgLatency) },
+			func(c *adaptive.Cell) string { return fmt.Sprintf("%.2f", c.Result.AvgLatency) }}
+		dropped   = col("dropped", "dropped", "%d", func(c *adaptive.Cell) any { return c.Result.Dropped })
+		unreach   = col("unreach", "unreachable", "%d", func(c *adaptive.Cell) any { return c.Result.Unreachable })
+		misroutes = col("misroutes", "misroutes", "%d", func(c *adaptive.Cell) any { return c.Result.Misroutes })
+		backlog   = col("backlog", "backlog", "%d", func(c *adaptive.Cell) any { return c.Result.Backlog })
+		p99       = col("p99 lat", "p99_latency", "%.0f", func(c *adaptive.Cell) any { return c.P99Latency })
+		retx      = col("retx", "retransmitted", "%d", func(c *adaptive.Cell) any { return c.Result.Retransmitted })
+		overhead  = pct("overhead", "overhead", func(c *adaptive.Cell) float64 { return c.Overhead })
+		dups      = col("dups", "duplicates", "%d", func(c *adaptive.Cell) any { return c.Result.DuplicatesDropped })
+		gaveUp    = col("gaveup", "gaveup", "%d", func(c *adaptive.Cell) any { return c.Result.GaveUp })
+		abandoned = col("abandoned", "abandoned", "%d", func(c *adaptive.Cell) any { return c.Payloads.Abandoned })
+		pending   = col("pending", "pending", "%d", func(c *adaptive.Cell) any { return c.Payloads.Pending })
+		detours   = col("detours", "detours", "%d", func(c *adaptive.Cell) any { return c.Result.Detours })
+		replans   = col("replans", "reroutes", "%d", func(c *adaptive.Cell) any { return c.Result.Reroutes })
+		detected  = col("detected", "unreachable_detected", "%d", func(c *adaptive.Cell) any { return c.Result.UnreachableDetected })
+		breakers  = col("breakers", "opened", "%d", func(c *adaptive.Cell) any { return c.Router.Opened })
+		reclosed  = col("reclosed", "reclosed", "%d", func(c *adaptive.Cell) any { return c.Router.Reclosed })
+	)
+	switch {
+	case o.adaptiveOn && o.compare:
+		cols = []column{mode, scheme, killed, deadNodes, csvOnly(deadFrac), goodput, detours, replans, detected, overhead, breakers}
+		footer = "(E23: same seeded module draw per kill count, shared across schemes and modes)"
+	case o.adaptiveOn:
+		cols = []column{mode, rate, deadLinks, goodput, efficiency, detours, replans, detected, overhead, breakers, csvOnly(reclosed)}
+		footer = "(adaptive detours change the physical path each wrap-around pass - the recovery retries alone cannot buy)"
+	case o.reliableOn && o.compare:
+		cols = []column{mode, scheme, killed, deadNodes, csvOnly(deadFrac), goodput, p99, retx, overhead, dups, abandoned}
+		footer = "(same seeded module draw per kill count, shared across schemes and modes)"
+	case o.reliableOn:
+		cols = []column{mode, rate, deadLinks, outages, goodput, efficiency, p99, retx, overhead, dups, gaveUp, csvOnly(abandoned), csvOnly(pending)}
+		if o.outage == 0 {
+			footer = "(permanent faults: deterministic retries retrace the same path, so retx modes mostly pay overhead; add -outage for the repairable regime, or -adaptive for routes that change)"
 		}
+	case o.compare:
+		cols = []column{scheme, killed, deadNodes, deadFrac, throughput, latency, dropped, unreach, backlog}
+		footer = "(same seeded module draw per kill count; schemes differ only in what a module is)"
+	default:
+		cols = []column{rate, deadLinks, throughput, efficiency, latency, dropped, unreach, misroutes, backlog}
 	}
-	if o.csv {
-		fmt.Println("mode,scheme,killed,dead_nodes,dead_frac,goodput,p99_latency,retransmitted,overhead,duplicates,abandoned")
-		for _, pt := range pts {
-			r := pt.Result
-			fmt.Printf("%s,%s,%d,%d,%.4f,%.4f,%.0f,%d,%.4f,%d,%d\n",
-				pt.Mode, pt.Scheme, pt.Killed, pt.DeadNodes, pt.DeadNodeFrac,
-				pt.Goodput, pt.P99Latency, r.Retransmitted, pt.Overhead,
-				r.DuplicatesDropped, pt.Stats.Abandoned)
-		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "mode\tscheme\tkilled\tdead nodes\tgoodput\tp99 lat\tretx\toverhead\tdups\tabandoned\n")
-	for _, pt := range pts {
-		r := pt.Result
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.4f\t%.0f\t%d\t%.1f%%\t%d\t%d\n",
-			pt.Mode, pt.Scheme, pt.Killed, pt.DeadNodes, pt.Goodput,
-			pt.P99Latency, r.Retransmitted, 100*pt.Overhead,
-			r.DuplicatesDropped, pt.Stats.Abandoned)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	fmt.Println("(same seeded module draw per kill count, shared across schemes and modes)")
+	return cols, footer
 }
 
-func runCompare(o *options) {
-	schemes, err := faults.StandardSchemes(o.dim)
-	if err != nil {
-		fatal(err)
-	}
-	killCounts, err := parseInts(o.kills)
-	if err != nil {
-		fatal(err)
-	}
-	pts := faults.ModuleKillSweep(o.baseParams(), schemes, killCounts)
-	if o.csv {
-		fmt.Println("scheme,killed,dead_nodes,dead_frac,throughput,latency,dropped,unreachable,backlog")
-		for _, pt := range pts {
-			if pt.Err != nil {
-				fatal(pt.Err)
-			}
-			r := pt.Result
-			fmt.Printf("%s,%d,%d,%.4f,%.4f,%.2f,%d,%d,%d\n",
-				pt.Scheme, pt.Killed, pt.DeadNodes, pt.DeadNodeFrac,
-				r.Throughput, r.AvgLatency, r.Dropped, r.Unreachable, r.Backlog)
+// write prints cells under the columns' headers: comma-separated for
+// CSV, otherwise as an aligned table followed by footer.
+func write(w io.Writer, csv bool, cols []column, footer string, cells []adaptive.Cell) error {
+	var heads []string
+	var cellFmt []func(c *adaptive.Cell) string
+	for _, c := range cols {
+		head, f := c.head, c.table
+		if csv {
+			head, f = c.csvHead, c.csv
 		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "scheme\tkilled\tdead nodes\tdead frac\tthroughput\tlatency\tdropped\tunreach\tbacklog\n")
-	for _, pt := range pts {
-		if pt.Err != nil {
-			fatal(pt.Err)
-		}
-		r := pt.Result
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f%%\t%.4f\t%.1f\t%d\t%d\t%d\n",
-			pt.Scheme, pt.Killed, pt.DeadNodes, 100*pt.DeadNodeFrac,
-			r.Throughput, r.AvgLatency, r.Dropped, r.Unreachable, r.Backlog)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	fmt.Println("(same seeded module draw per kill count; schemes differ only in what a module is)")
-}
-
-// runAdaptiveSweep compares the E23 recovery modes (drop / misroute /
-// adaptive / adaptive+retx) across permanent link fault rates.
-func runAdaptiveSweep(o *options) {
-	rates, err := parseFloats(o.sweepRates)
-	if err != nil {
-		fatal(err)
-	}
-	pts := adaptive.Sweep(o.baseParams(), o.adaptiveConfig(), o.reliableConfig(), adaptive.StandardModes(), rates)
-	for _, pt := range pts {
-		if pt.Err != nil {
-			fatal(pt.Err)
+		if head != "" {
+			heads = append(heads, head)
+			cellFmt = append(cellFmt, f)
 		}
 	}
-	if o.csv {
-		fmt.Println("mode,rate,dead_links,goodput,efficiency,detours,reroutes,unreachable_detected,overhead,opened,reclosed")
-		for _, pt := range pts {
-			r := pt.Result
-			fmt.Printf("%s,%g,%d,%.4f,%.4f,%d,%d,%d,%.4f,%d,%d\n",
-				pt.Mode, pt.Rate, pt.DeadLinks, pt.Goodput, pt.Goodput/o.lambda,
-				r.Detours, r.Reroutes, r.UnreachableDetected, pt.Overhead,
-				pt.Router.Opened, pt.Router.Reclosed)
+	sep, out := ",", w
+	var tw *tabwriter.Writer
+	if !csv {
+		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		sep, out = "\t", tw
+	}
+	fmt.Fprintln(out, strings.Join(heads, sep))
+	row := make([]string, len(cellFmt))
+	for i := range cells {
+		for j, f := range cellFmt {
+			row[j] = f(&cells[i])
 		}
-		return
+		fmt.Fprintln(out, strings.Join(row, sep))
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "mode\trate\tdead\tgoodput\tefficiency\tdetours\treplans\tdetected\toverhead\tbreakers\n")
-	for _, pt := range pts {
-		r := pt.Result
-		fmt.Fprintf(w, "%s\t%g\t%d\t%.4f\t%.1f%%\t%d\t%d\t%d\t%.1f%%\t%d\n",
-			pt.Mode, pt.Rate, pt.DeadLinks, pt.Goodput, 100*pt.Goodput/o.lambda,
-			r.Detours, r.Reroutes, r.UnreachableDetected, 100*pt.Overhead, pt.Router.Opened)
+	if csv {
+		return nil
 	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
+	if err := tw.Flush(); err != nil {
+		return err
 	}
-	fmt.Println("(adaptive detours change the physical path each wrap-around pass - the recovery retries alone cannot buy)")
-}
-
-// runAdaptiveCompare is experiment E23: the packaging comparison with
-// the full recovery ladder on the same module wreckage.
-func runAdaptiveCompare(o *options) {
-	schemes, err := faults.StandardSchemes(o.dim)
-	if err != nil {
-		fatal(err)
+	if footer != "" {
+		fmt.Fprintln(w, footer)
 	}
-	killCounts, err := parseInts(o.kills)
-	if err != nil {
-		fatal(err)
-	}
-	pts := adaptive.ModuleKillSweep(o.baseParams(), o.adaptiveConfig(), o.reliableConfig(), adaptive.StandardModes(), schemes, killCounts)
-	for _, pt := range pts {
-		if pt.Err != nil {
-			fatal(pt.Err)
-		}
-	}
-	if o.csv {
-		fmt.Println("mode,scheme,killed,dead_nodes,dead_frac,goodput,detours,reroutes,unreachable_detected,overhead,opened")
-		for _, pt := range pts {
-			r := pt.Result
-			fmt.Printf("%s,%s,%d,%d,%.4f,%.4f,%d,%d,%d,%.4f,%d\n",
-				pt.Mode, pt.Scheme, pt.Killed, pt.DeadNodes, pt.DeadNodeFrac,
-				pt.Goodput, r.Detours, r.Reroutes, r.UnreachableDetected,
-				pt.Overhead, pt.Router.Opened)
-		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "mode\tscheme\tkilled\tdead nodes\tgoodput\tdetours\treplans\tdetected\toverhead\tbreakers\n")
-	for _, pt := range pts {
-		r := pt.Result
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.4f\t%d\t%d\t%d\t%.1f%%\t%d\n",
-			pt.Mode, pt.Scheme, pt.Killed, pt.DeadNodes, pt.Goodput,
-			r.Detours, r.Reroutes, r.UnreachableDetected, 100*pt.Overhead, pt.Router.Opened)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	fmt.Println("(E23: same seeded module draw per kill count, shared across schemes and modes)")
+	return nil
 }

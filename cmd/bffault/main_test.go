@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,32 +153,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// captureStdout reroutes os.Stdout through a pipe for the duration of fn
-// and returns everything fn printed. The runner functions under test
-// write through package-level tabwriters bound to os.Stdout, so this is
-// the only seam that sees their real output.
-func captureStdout(t *testing.T, fn func()) []byte {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	done := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- b
-	}()
-	defer func() { os.Stdout = old }()
-	fn()
-	os.Stdout = old
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return <-done
-}
-
 var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current output")
 
 // The sweep printers are the tool's public record: their tables land in
@@ -217,7 +190,11 @@ func TestSweepPrintersByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := captureStdout(t, func() { run(o) })
+				var buf bytes.Buffer
+				if err := report(o, &buf); err != nil {
+					t.Fatal(err)
+				}
+				got := buf.Bytes()
 				path := filepath.Join("testdata", strings.ReplaceAll(name, " ", "_")+".golden")
 				if *update {
 					if err := os.WriteFile(path, got, 0o644); err != nil {

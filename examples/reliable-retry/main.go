@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"bfvlsi/internal/adaptive"
 	"bfvlsi/internal/faults"
 	"bfvlsi/internal/reliable"
 	"bfvlsi/internal/routing"
@@ -62,8 +63,9 @@ func main() {
 		fmt.Printf("  %6.0f%%", 100*rate)
 	}
 	fmt.Println()
-	pts := reliable.OutageSweep(base, cfg, reliable.StandardModes(), rates, 60)
-	for mi, m := range reliable.StandardModes() {
+	modes := adaptive.ReliableModes()
+	pts := adaptive.Sweep(base, adaptive.Config{}, cfg, modes, rates, 60)
+	for mi, m := range modes {
 		fmt.Printf("  %-14s", m.Name)
 		for ri := range rates {
 			pt := pts[mi*len(rates)+ri]
@@ -81,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	modes := []reliable.Mode{{Name: "misroute+retx", Policy: routing.Misroute, Retransmit: true}}
+	retx := []adaptive.Mode{{Name: "misroute+retx", Policy: routing.Misroute, Transport: adaptive.Retransmit}}
 	kills := []int{0, 1, 2, 4}
 	fmt.Printf("\nmisroute+retx goodput vs modules killed, by packaging scheme:\n")
 	fmt.Printf("  %-10s", "scheme")
@@ -89,7 +91,7 @@ func main() {
 		fmt.Printf("  %6d", k)
 	}
 	fmt.Println()
-	kp := reliable.ModuleKillSweep(base, cfg, modes, schemes, kills)
+	kp := adaptive.ModuleKillSweep(base, adaptive.Config{}, cfg, retx, schemes, kills)
 	for si, sc := range schemes {
 		fmt.Printf("  %-10s", sc.Name)
 		for ki := range kills {

@@ -288,7 +288,7 @@ func TestE23ModuleKillRecovery(t *testing.T) {
 func TestSweepZeroRateBaseline(t *testing.T) {
 	base := routing.Params{N: 4, Lambda: 0.1, Warmup: 50, Cycles: 300, Seed: 3}
 	rcfg := reliable.Config{Timeout: 30, MaxRetries: 1, Seed: 5}
-	pts := Sweep(base, DefaultConfig(4), rcfg, StandardModes(), []float64{0, 0.04})
+	pts := Sweep(base, DefaultConfig(4), rcfg, StandardModes(), []float64{0, 0.04}, 0)
 	var zero []float64
 	for i := range pts {
 		pt := &pts[i]

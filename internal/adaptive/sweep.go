@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,18 +11,41 @@ import (
 	"bfvlsi/internal/routing"
 )
 
+// Transport selects the end-to-end transport a sweep cell attaches.
+type Transport int
+
+const (
+	// NoTransport runs the bare simulator: the plain degradation sweep.
+	NoTransport Transport = iota
+	// Observe attaches a transport whose first timer fires after the run
+	// ends: it never retransmits and leaves the run packet-for-packet
+	// identical to NoTransport, but measures payload delivery and latency.
+	Observe
+	// Retransmit attaches a live reliable transport.
+	Retransmit
+)
+
 // Mode is one recovery strategy under comparison: a static dead-link
-// policy or the adaptive router, optionally combined with the end-to-end
-// retransmission layer.
+// policy or the adaptive router, and the transport riding along.
 type Mode struct {
 	Name   string
 	Policy routing.Policy
 	// Adaptive attaches a Router (Policy is then ignored by the
 	// simulator).
-	Adaptive bool
-	// Retransmit attaches a live reliable transport; without it an
-	// observer transport still measures payload delivery.
-	Retransmit bool
+	Adaptive  bool
+	Transport Transport
+}
+
+// ReliableModes returns the four strategies the E22 retransmission
+// sweeps compare: the two static policies, each alone and combined with
+// retransmission.
+func ReliableModes() []Mode {
+	return []Mode{
+		{Name: "drop", Policy: routing.DropDead, Transport: Observe},
+		{Name: "misroute", Policy: routing.Misroute, Transport: Observe},
+		{Name: "drop+retx", Policy: routing.DropDead, Transport: Retransmit},
+		{Name: "misroute+retx", Policy: routing.Misroute, Transport: Retransmit},
+	}
 }
 
 // StandardModes returns the four strategies the E23 sweeps compare: the
@@ -29,234 +53,217 @@ type Mode struct {
 // router with retransmission - the full recovery stack.
 func StandardModes() []Mode {
 	return []Mode{
-		{Name: "drop", Policy: routing.DropDead},
-		{Name: "misroute", Policy: routing.Misroute},
-		{Name: "adaptive", Adaptive: true},
-		{Name: "adaptive+retx", Adaptive: true, Retransmit: true},
+		{Name: "drop", Policy: routing.DropDead, Transport: Observe},
+		{Name: "misroute", Policy: routing.Misroute, Transport: Observe},
+		{Name: "adaptive", Adaptive: true, Transport: Observe},
+		{Name: "adaptive+retx", Adaptive: true, Transport: Retransmit},
 	}
 }
 
-// Point is one (mode, fault rate) cell of an adaptive link-fault sweep.
-type Point struct {
-	Mode string
-	// Rate is the independent per-link probability of a permanent fault.
-	Rate      float64
-	DeadLinks int
-	Result    *routing.Result
+// Cell is one measured cell of a sweep: a mode at one fault level. Link
+// sweeps fill Rate and DeadLinks (permanent faults) or Outages
+// (repairable ones); module-kill sweeps fill Scheme, Killed, DeadNodes
+// and DeadNodeFrac.
+type Cell struct {
+	Mode   string
+	Scheme string
+	// Rate is the independent per-link probability of a permanent fault,
+	// or for outage sweeps the expected steady-state fraction of links
+	// down.
+	Rate         float64
+	DeadLinks    int
+	Outages      int
+	Killed       int
+	DeadNodes    int
+	DeadNodeFrac float64
+	Result       *routing.Result
 	// Router holds the adaptive router's learning counters (zero for
-	// non-adaptive modes).
+	// static modes).
 	Router Stats
-	// Transport is the payload-level summary; non-retransmitting modes
-	// attach a pure observer transport, so it is live for every mode.
-	Transport reliable.Stats
-	// Goodput is accepted payloads per node per measured cycle.
+	// Payloads is the transport's payload-level summary (zero without a
+	// transport).
+	Payloads reliable.Stats
+	// Goodput is accepted payloads per node per measured cycle (equal to
+	// Result.Throughput: duplicates are never counted delivered).
 	Goodput float64
-	// Overhead is Retransmitted / TotalInjected.
+	// P99Latency is the 0.99-quantile end-to-end delivery latency over
+	// payloads first injected inside the measurement window (zero
+	// without a transport).
+	P99Latency float64
+	// Overhead is Retransmitted / TotalInjected: the fraction of extra
+	// copies the reliability layer pushed into the network.
 	Overhead float64
 	Err      error
 }
 
-// observer is a transport whose first timer fires after the run ends: it
-// never retransmits and leaves the run packet-for-packet untouched, but
-// still measures payload delivery (mirrors the internal/reliable sweeps).
-func observer(base routing.Params) reliable.Config {
-	return reliable.Config{Timeout: base.Warmup + base.Cycles + 1, MaxRetries: 0, Seed: 1}
+// Per-cell router and transport seeds are cfg.Seed + idx*stride +
+// offset, idx the cell's mode-major index. Sweeps whose mode list
+// includes an Adaptive mode use the E23 strides, all others the E22
+// strides. Static-policy cells with NoTransport or Observe do not depend
+// on the seed at all.
+func cellSeeds(modes []Mode, e22, e23 [2]int64) [2]int64 {
+	for _, m := range modes {
+		if m.Adaptive {
+			return e23
+		}
+	}
+	return e22
 }
 
-// prepare attaches the mode's machinery to a copy of base: the static
-// policy or a fresh Router, and a live or observer transport.
-func prepare(base routing.Params, cfg Config, rcfg reliable.Config, m Mode, cellSeed int64) (routing.Params, *Router, *reliable.Transport, error) {
+// Sweep measures every mode at every link fault level. With outage 0 the
+// faults are permanent: each link dies independently with the level's
+// rate. With outage > 0 the level schedules random link outages of that
+// many cycles so that the expected fraction of links down is the rate -
+// the repairable regime where a retry that fires after the repair goes
+// through. Fault plans are seeded from base.Seed and the rate index, so
+// all modes of a level see the same faults. Results are mode-major in
+// input order.
+//
+// With deterministic routing a retransmitted copy retraces its
+// predecessor's path, so against permanent holes retries recover little
+// beyond what the misroute policy already saves; the adaptive router's
+// detours change the physical path instead.
+func Sweep(base routing.Params, acfg Config, rcfg reliable.Config, modes []Mode, rates []float64, outage int) []Cell {
+	seeds := cellSeeds(modes, [2]int64{7_000_003, 13}, [2]int64{11_000_027, 19})
+	out := make([]Cell, len(modes)*len(rates))
+	forEach(len(out), func(idx int) {
+		mi, ri := idx/len(rates), idx%len(rates)
+		c := &out[idx]
+		c.Mode, c.Rate = modes[mi].Name, rates[ri]
+		faultSeed := base.Seed + int64(ri)*1_000_003 + 1
+		err := c.run(base, acfg, rcfg, modes[mi], int64(idx)*seeds[0]+seeds[1], func(plan *faults.Plan) error {
+			if outage < 0 {
+				return fmt.Errorf("negative outage duration %d", outage)
+			}
+			if outage == 0 {
+				var err error
+				c.DeadLinks, err = plan.AddRandomLinkFaults(c.Rate, faultSeed)
+				return err
+			}
+			// Count outages so that the expected number of links
+			// concurrently down is rate * links.
+			horizon := base.Warmup + base.Cycles
+			c.Outages = int(c.Rate*float64(2*plan.Nodes())*float64(horizon)/float64(outage) + 0.5)
+			if c.Outages == 0 {
+				return nil
+			}
+			return plan.AddRandomTransientLinkFaults(c.Outages, horizon, outage, faultSeed)
+		})
+		if err != nil {
+			c.Err = fmt.Errorf("adaptive: mode %s rate %g: %w", c.Mode, c.Rate, err)
+		}
+	})
+	return out
+}
+
+// ModuleKillSweep is the packaging comparison: it fails k whole modules
+// (k ranging over kills) under each scheme (row, nucleus, naive - see
+// faults.StandardSchemes) and measures every mode on the same wreckage.
+// The module draw is seeded per kill count and shared across schemes and
+// modes, so cells differ only in what a module is and how the survivors
+// route. Results are ordered mode-major, then scheme, then kill count.
+//
+// The Theorem 2.1 nucleus modules are small failure domains, so killing
+// the same number of modules removes a smaller slice of the machine; E23
+// shows the adaptive router recovering goodput there that deterministic
+// retries cannot.
+func ModuleKillSweep(base routing.Params, acfg Config, rcfg reliable.Config, modes []Mode, schemes []faults.Scheme, kills []int) []Cell {
+	seeds := cellSeeds(modes, [2]int64{9_000_011, 17}, [2]int64{13_000_021, 29})
+	out := make([]Cell, len(modes)*len(schemes)*len(kills))
+	forEach(len(out), func(idx int) {
+		mi := idx / (len(schemes) * len(kills))
+		si := idx / len(kills) % len(schemes)
+		ki := idx % len(kills)
+		sc := schemes[si]
+		c := &out[idx]
+		c.Mode, c.Scheme, c.Killed = modes[mi].Name, sc.Name, kills[ki]
+		err := c.run(base, acfg, rcfg, modes[mi], int64(idx)*seeds[0]+seeds[1], func(plan *faults.Plan) error {
+			if c.Killed < 0 || c.Killed > sc.NumModules {
+				return fmt.Errorf("cannot kill %d of %d modules", c.Killed, sc.NumModules)
+			}
+			for _, m := range faults.PickModules(sc.NumModules, c.Killed, base.Seed+int64(ki)*2_000_003+7) {
+				killed, err := plan.AddModuleFault(sc.ModuleOf, m, 0, 0)
+				if err != nil {
+					return err
+				}
+				c.DeadNodes += killed
+			}
+			c.DeadNodeFrac = float64(c.DeadNodes) / float64(plan.Nodes())
+			return nil
+		})
+		if err != nil {
+			c.Err = fmt.Errorf("adaptive: mode %s scheme %s kills %d: %w", c.Mode, c.Scheme, c.Killed, err)
+		}
+	})
+	return out
+}
+
+// run measures one cell: it builds the fault plan through addFaults,
+// attaches the mode's router and transport (seeded with cellSeed), runs
+// the simulation, audits copy-exact conservation, and fills the derived
+// values. base must carry no hooks: a caller's Faults, Reliable or
+// Adaptive would be shared by every concurrent cell. A faulted cell with
+// base.TTL 0 gets faults.DefaultTTL, so trapped packets are dropped and
+// accounted rather than pooling in Backlog; a fault-free cell keeps TTL
+// 0 and reproduces the fault-free baseline exactly.
+func (c *Cell) run(base routing.Params, acfg Config, rcfg reliable.Config, m Mode, cellSeed int64, addFaults func(*faults.Plan) error) error {
+	if base.Faults != nil || base.Reliable != nil || base.Adaptive != nil {
+		return errors.New("base params must not carry Faults, Reliable, or Adaptive")
+	}
+	plan, err := faults.NewPlan(base.N)
+	if err != nil {
+		return err
+	}
+	if err := addFaults(plan); err != nil {
+		return err
+	}
 	p := base
+	p.Faults = plan
+	if p.TTL == 0 && plan.NumEvents() > 0 {
+		p.TTL = faults.DefaultTTL(base.N)
+	}
 	var rt *Router
 	if m.Adaptive {
-		c := cfg
-		c.Seed = cfg.Seed + cellSeed
-		var err error
-		if rt, err = New(c); err != nil {
-			return p, nil, nil, err
+		cfg := acfg
+		cfg.Seed += cellSeed
+		if rt, err = New(cfg); err != nil {
+			return err
 		}
 		p.Adaptive = rt
 	} else {
 		p.Policy = m.Policy
 	}
-	c := rcfg
-	if !m.Retransmit {
-		c = observer(base)
+	var tr *reliable.Transport
+	if m.Transport != NoTransport {
+		cfg := rcfg
+		if m.Transport == Observe {
+			cfg = reliable.Config{Timeout: base.Warmup + base.Cycles + 1}
+		}
+		cfg.Seed = rcfg.Seed + cellSeed
+		if tr, err = reliable.New(cfg); err != nil {
+			return err
+		}
+		tr.MeasureFrom = base.Warmup
+		p.Reliable = tr
 	}
-	c.Seed = rcfg.Seed + cellSeed
-	tr, err := reliable.New(c)
-	if err != nil {
-		return p, nil, nil, err
+	if c.Result, err = routing.Simulate(p); err != nil {
+		return err
 	}
-	tr.MeasureFrom = base.Warmup
-	p.Reliable = tr
-	return p, rt, tr, nil
-}
-
-// finish fills the derived values and asserts copy-exact conservation,
-// wrapping failures with the cell's coordinates.
-func (pt *Point) finish(rt *Router, tr *reliable.Transport) {
-	if pt.Err == nil {
-		pt.Err = pt.Result.CheckConservation()
+	if err := c.Result.CheckConservation(); err != nil {
+		return err
 	}
-	if pt.Err != nil {
-		pt.Err = fmt.Errorf("adaptive: mode %s rate %g: %w", pt.Mode, pt.Rate, pt.Err)
-		return
+	c.Goodput = c.Result.Throughput
+	if c.Result.TotalInjected > 0 {
+		c.Overhead = float64(c.Result.Retransmitted) / float64(c.Result.TotalInjected)
 	}
 	if rt != nil {
-		pt.Router = rt.Stats()
+		c.Router = rt.Stats()
 	}
-	pt.Transport = tr.Stats()
-	pt.Goodput = pt.Result.Throughput
-	if pt.Result.TotalInjected > 0 {
-		pt.Overhead = float64(pt.Result.Retransmitted) / float64(pt.Result.TotalInjected)
+	if tr != nil {
+		c.Payloads = tr.Stats()
+		c.P99Latency = tr.LatencyPercentile(0.99)
 	}
-}
-
-// Sweep measures goodput degradation as the permanent link fault rate
-// grows, for every mode at every rate. Fault plans are seeded exactly as
-// in faults.Sweep (from base.Seed and the rate index) so all modes of a
-// rate see the same dead links and the cells line up with the PR-1/PR-2
-// sweeps. base.Faults, base.Reliable, and base.Adaptive must be nil.
-// base.TTL of 0 becomes faults.DefaultTTL on faulted cells. Cells run
-// concurrently; results are mode-major in input order.
-func Sweep(base routing.Params, cfg Config, rcfg reliable.Config, modes []Mode, rates []float64) []Point {
-	out := make([]Point, len(modes)*len(rates))
-	run := func(idx int) {
-		mi, ri := idx/len(rates), idx%len(rates)
-		pt := &out[idx]
-		pt.Mode = modes[mi].Name
-		pt.Rate = rates[ri]
-		if base.Faults != nil || base.Reliable != nil || base.Adaptive != nil {
-			pt.Err = fmt.Errorf("adaptive: mode %s rate %g: base params must not carry Faults, Reliable, or Adaptive", pt.Mode, pt.Rate)
-			return
-		}
-		plan, err := faults.NewPlan(base.N)
-		if err != nil {
-			pt.Err = err
-			pt.finish(nil, nil)
-			return
-		}
-		dead, err := plan.AddRandomLinkFaults(rates[ri], base.Seed+int64(ri)*1_000_003+1)
-		if err != nil {
-			pt.Err = err
-			pt.finish(nil, nil)
-			return
-		}
-		pt.DeadLinks = dead
-		p, rt, tr, err := prepare(base, cfg, rcfg, modes[mi], int64(idx)*11_000_027+19)
-		if err != nil {
-			pt.Err = err
-			pt.finish(nil, nil)
-			return
-		}
-		p.Faults = plan
-		if p.TTL == 0 && dead > 0 {
-			p.TTL = faults.DefaultTTL(base.N)
-		}
-		pt.Result, pt.Err = routing.Simulate(p)
-		pt.finish(rt, tr)
-	}
-	forEach(len(out), run)
-	return out
-}
-
-// SchemePoint is one (mode, scheme, kill count) cell of the E23
-// module-kill recovery sweep.
-type SchemePoint struct {
-	Mode   string
-	Scheme string
-	// Killed is the number of modules failed; DeadNodes the resulting
-	// dead node count and DeadNodeFrac its fraction of the network.
-	Killed       int
-	DeadNodes    int
-	DeadNodeFrac float64
-	Result       *routing.Result
-	Router       Stats
-	Transport    reliable.Stats
-	Goodput      float64
-	Overhead     float64
-	Err          error
-}
-
-// ModuleKillSweep is experiment E23: it fails k whole modules under each
-// packaging scheme (row, nucleus, naive - faults.StandardSchemes) and
-// measures every recovery mode on the same wreckage. The module draw is
-// seeded per kill count exactly as in faults.ModuleKillSweep, shared
-// across schemes and modes. This is the sweep behind the PR's headline
-// finding: deterministic retries plateau against permanent module-kill
-// (PR 2), while the adaptive router's dimension-shift detours and
-// epoch-map rejections recover goodput the static policies cannot.
-// Results are ordered mode-major, then scheme, then kill count.
-func ModuleKillSweep(base routing.Params, cfg Config, rcfg reliable.Config, modes []Mode, schemes []faults.Scheme, kills []int) []SchemePoint {
-	out := make([]SchemePoint, len(modes)*len(schemes)*len(kills))
-	run := func(idx int) {
-		mi := idx / (len(schemes) * len(kills))
-		si := idx / len(kills) % len(schemes)
-		ki := idx % len(kills)
-		sc := schemes[si]
-		pt := &out[idx]
-		pt.Mode = modes[mi].Name
-		pt.Scheme = sc.Name
-		pt.Killed = kills[ki]
-		fail := func(err error) {
-			pt.Err = fmt.Errorf("adaptive: mode %s scheme %s kills %d: %w",
-				pt.Mode, pt.Scheme, pt.Killed, err)
-		}
-		if base.Faults != nil || base.Reliable != nil || base.Adaptive != nil {
-			fail(fmt.Errorf("base params must not carry Faults, Reliable, or Adaptive"))
-			return
-		}
-		if pt.Killed < 0 || pt.Killed > sc.NumModules {
-			fail(fmt.Errorf("cannot kill %d of %d modules", pt.Killed, sc.NumModules))
-			return
-		}
-		plan, err := faults.NewPlan(base.N)
-		if err != nil {
-			fail(err)
-			return
-		}
-		// Same per-k seed across schemes and modes: the draw of which
-		// modules die is shared, the cells differ only in what a module
-		// is and how the survivors route.
-		for _, m := range faults.PickModules(sc.NumModules, pt.Killed, base.Seed+int64(ki)*2_000_003+7) {
-			killed, err := plan.AddModuleFault(sc.ModuleOf, m, 0, 0)
-			if err != nil {
-				fail(err)
-				return
-			}
-			pt.DeadNodes += killed
-		}
-		pt.DeadNodeFrac = float64(pt.DeadNodes) / float64(plan.Nodes())
-		p, rt, tr, err := prepare(base, cfg, rcfg, modes[mi], int64(idx)*13_000_021+29)
-		if err != nil {
-			fail(err)
-			return
-		}
-		p.Faults = plan
-		if p.TTL == 0 && pt.Killed > 0 {
-			p.TTL = faults.DefaultTTL(base.N)
-		}
-		pt.Result, err = routing.Simulate(p)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := pt.Result.CheckConservation(); err != nil {
-			fail(err)
-			return
-		}
-		if rt != nil {
-			pt.Router = rt.Stats()
-		}
-		pt.Transport = tr.Stats()
-		pt.Goodput = pt.Result.Throughput
-		if pt.Result.TotalInjected > 0 {
-			pt.Overhead = float64(pt.Result.Retransmitted) / float64(pt.Result.TotalInjected)
-		}
-	}
-	forEach(len(out), run)
-	return out
+	return nil
 }
 
 // forEach runs f(0..n-1) on a capped worker pool.

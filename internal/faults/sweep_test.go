@@ -1,10 +1,17 @@
-package faults
+package faults_test
 
 import (
 	"testing"
 
+	"bfvlsi/internal/adaptive"
+	"bfvlsi/internal/faults"
+	"bfvlsi/internal/reliable"
 	"bfvlsi/internal/routing"
 )
+
+// plain is the degradation sweep's single mode: the base policy, no
+// transport.
+var plain = []adaptive.Mode{{Name: "misroute", Policy: routing.Misroute}}
 
 // The zero-rate level of a sweep is the fault-free baseline, bit for bit,
 // and higher fault rates degrade throughput without losing packets.
@@ -14,7 +21,7 @@ func TestSweepZeroRateMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := Sweep(base, []float64{0, 0.08})
+	pts := adaptive.Sweep(base, adaptive.Config{}, reliable.Config{}, plain, []float64{0, 0.08}, 0)
 	for _, pt := range pts {
 		if pt.Err != nil {
 			t.Fatalf("rate %v: %v", pt.Rate, pt.Err)
@@ -37,7 +44,7 @@ func TestSweepZeroRateMatchesBaseline(t *testing.T) {
 
 func TestStandardSchemes(t *testing.T) {
 	n := 6
-	schemes, err := StandardSchemes(n)
+	schemes, err := faults.StandardSchemes(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +52,7 @@ func TestStandardSchemes(t *testing.T) {
 	if len(schemes) != len(names) {
 		t.Fatalf("got %d schemes, want %d", len(schemes), len(names))
 	}
-	byName := map[string]Scheme{}
+	byName := map[string]faults.Scheme{}
 	for i, sc := range schemes {
 		if sc.Name != names[i] {
 			t.Errorf("scheme %d named %q, want %q", i, sc.Name, names[i])
@@ -85,22 +92,22 @@ func TestModuleKillSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes, err := StandardSchemes(base.N)
+	schemes, err := faults.StandardSchemes(base.N)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kills := []int{0, 2}
-	pts := ModuleKillSweep(base, schemes, kills)
+	pts := adaptive.ModuleKillSweep(base, adaptive.Config{}, reliable.Config{}, plain, schemes, kills)
 	if len(pts) != len(schemes)*len(kills) {
 		t.Fatalf("got %d points, want %d", len(pts), len(schemes)*len(kills))
 	}
-	byCell := map[string]map[int]SchemePoint{}
+	byCell := map[string]map[int]adaptive.Cell{}
 	for _, pt := range pts {
 		if pt.Err != nil {
 			t.Fatalf("%s k=%d: %v", pt.Scheme, pt.Killed, pt.Err)
 		}
 		if byCell[pt.Scheme] == nil {
-			byCell[pt.Scheme] = map[int]SchemePoint{}
+			byCell[pt.Scheme] = map[int]adaptive.Cell{}
 		}
 		byCell[pt.Scheme][pt.Killed] = pt
 	}
@@ -124,7 +131,7 @@ func TestModuleKillSweep(t *testing.T) {
 			nuc.DeadNodes, row.DeadNodes)
 	}
 
-	bad := ModuleKillSweep(base, schemes[:1], []int{-1})
+	bad := adaptive.ModuleKillSweep(base, adaptive.Config{}, reliable.Config{}, plain, schemes[:1], []int{-1})
 	if len(bad) != 1 || bad[0].Err == nil {
 		t.Error("negative kill count accepted")
 	}

@@ -1,46 +1,56 @@
-package reliable
+package reliable_test
 
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
+	"bfvlsi/internal/adaptive"
 	"bfvlsi/internal/faults"
+	"bfvlsi/internal/reliable"
 	"bfvlsi/internal/routing"
 )
 
-// Observer modes (no retransmission) must reproduce faults.Sweep exactly:
-// same plans, same runs, new counters zero - the reliability sweep is a
-// strict superset of the PR-1 degradation sweep.
-func TestSweepObserverMatchesFaultsSweep(t *testing.T) {
-	base := routing.Params{N: 4, Lambda: 0.1, Warmup: 50, Cycles: 300, Seed: 21}
+// An observer transport never fires inside the run, so observe cells must
+// reproduce no-transport cells exactly - same plans, same runs - under
+// unbounded FIFOs and under finite buffers, while still measuring
+// payload latency.
+func TestSweepObserverIdentity(t *testing.T) {
+	modes := []adaptive.Mode{
+		{Name: "drop", Policy: routing.DropDead},
+		{Name: "misroute", Policy: routing.Misroute},
+		{Name: "drop", Policy: routing.DropDead, Transport: adaptive.Observe},
+		{Name: "misroute", Policy: routing.Misroute, Transport: adaptive.Observe},
+	}
 	rates := []float64{0, 0.08}
-	plain := faults.Sweep(base, rates)
-	rel := Sweep(base, DefaultConfig(4), []Mode{{Name: "drop", Policy: routing.DropDead}, {Name: "misroute", Policy: routing.Misroute}}, rates)
-	if len(rel) != 4 {
-		t.Fatalf("got %d points, want 4", len(rel))
-	}
-	for _, pt := range rel {
-		if pt.Err != nil {
-			t.Fatal(pt.Err)
+	for _, buffers := range []int{0, 4} {
+		base := routing.Params{N: 4, Lambda: 0.1, Warmup: 50, Cycles: 300, Seed: 21, BufferLimit: buffers}
+		pts := adaptive.Sweep(base, adaptive.Config{}, reliable.DefaultConfig(4), modes, rates, 0)
+		if len(pts) != len(modes)*len(rates) {
+			t.Fatalf("buffers=%d: got %d points, want %d", buffers, len(pts), len(modes)*len(rates))
 		}
-	}
-	// plain ran with the zero-value policy (Misroute); compare against
-	// the misroute observer row.
-	for i, pt := range rel[2:] {
-		want := plain[i]
-		if pt.DeadLinks != want.DeadLinks {
-			t.Errorf("rate %v: dead links %d vs %d", pt.Rate, pt.DeadLinks, want.DeadLinks)
+		for _, pt := range pts {
+			if pt.Err != nil {
+				t.Fatal(pt.Err)
+			}
 		}
-		if *pt.Result != *want.Result {
-			t.Errorf("rate %v: observer diverged from faults.Sweep:\n%+v\nvs\n%+v",
-				pt.Rate, pt.Result, want.Result)
-		}
-		if pt.Goodput != want.Result.Throughput {
-			t.Errorf("rate %v: goodput %v != throughput %v", pt.Rate, pt.Goodput, want.Result.Throughput)
-		}
-		if pt.P99Latency == 0 {
-			t.Errorf("rate %v: observer recorded no latency percentile", pt.Rate)
+		half := len(pts) / 2
+		for i, bare := range pts[:half] {
+			obs := pts[half+i]
+			if obs.DeadLinks != bare.DeadLinks {
+				t.Errorf("buffers=%d %s rate %v: dead links %d vs %d", buffers, obs.Mode, obs.Rate, obs.DeadLinks, bare.DeadLinks)
+			}
+			if *obs.Result != *bare.Result {
+				t.Errorf("buffers=%d %s rate %v: observer diverged from the bare run:\n%+v\nvs\n%+v",
+					buffers, obs.Mode, obs.Rate, obs.Result, bare.Result)
+			}
+			if obs.Goodput != bare.Result.Throughput {
+				t.Errorf("buffers=%d %s rate %v: goodput %v != throughput %v", buffers, obs.Mode, obs.Rate, obs.Goodput, bare.Result.Throughput)
+			}
+			if obs.P99Latency == 0 {
+				t.Errorf("buffers=%d %s rate %v: observer recorded no latency percentile", buffers, obs.Mode, obs.Rate)
+			}
 		}
 	}
 }
@@ -58,12 +68,12 @@ func TestSweepModes(t *testing.T) {
 	// silent) while the 2-retry budget exhausts ~175 cycles after
 	// injection, well inside the 480-cycle horizon, so abandonment is
 	// observable.
-	cfg := Config{Timeout: 25, MaxRetries: 2, Jitter: 3, Seed: 1}
-	pts := Sweep(base, cfg, StandardModes(), rates)
+	cfg := reliable.Config{Timeout: 25, MaxRetries: 2, Jitter: 3, Seed: 1}
+	pts := adaptive.Sweep(base, adaptive.Config{}, cfg, adaptive.ReliableModes(), rates, 0)
 	if len(pts) != 8 {
 		t.Fatalf("got %d points, want 8", len(pts))
 	}
-	byCell := map[string]Point{}
+	byCell := map[string]adaptive.Cell{}
 	for _, pt := range pts {
 		if pt.Err != nil {
 			t.Fatal(pt.Err)
@@ -82,7 +92,7 @@ func TestSweepModes(t *testing.T) {
 	}
 	if dr := byCell["drop+retx@0.05"]; dr.Overhead == 0 {
 		t.Error("drop+retx at 5% permanent faults reported zero retransmission overhead")
-	} else if dr.Stats.Abandoned == 0 {
+	} else if dr.Payloads.Abandoned == 0 {
 		t.Error("drop+retx at 5% permanent faults abandoned no payloads")
 	}
 	if d, dr := byCell["drop@0.05"], byCell["drop+retx@0.05"]; dr.DeadLinks != d.DeadLinks {
@@ -95,12 +105,12 @@ func TestSweepModes(t *testing.T) {
 // policy on goodput: the retry fires after the repair and gets through.
 func TestOutageSweepRecovery(t *testing.T) {
 	base := routing.Params{N: 5, Lambda: 0.1, Warmup: 80, Cycles: 500, Seed: 5}
-	modes := []Mode{
-		{Name: "drop", Policy: routing.DropDead},
-		{Name: "drop+retx", Policy: routing.DropDead, Retransmit: true},
+	modes := []adaptive.Mode{
+		{Name: "drop", Policy: routing.DropDead, Transport: adaptive.Observe},
+		{Name: "drop+retx", Policy: routing.DropDead, Transport: adaptive.Retransmit},
 	}
-	cfg := Config{Timeout: 20, MaxRetries: 5, Jitter: 3, Seed: 1}
-	pts := OutageSweep(base, cfg, modes, []float64{0.08}, 40)
+	cfg := reliable.Config{Timeout: 20, MaxRetries: 5, Jitter: 3, Seed: 1}
+	pts := adaptive.Sweep(base, adaptive.Config{}, cfg, modes, []float64{0.08}, 40)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
@@ -123,8 +133,8 @@ func TestOutageSweepRecovery(t *testing.T) {
 	if retx.Overhead == 0 {
 		t.Error("drop+retx recovered without any retransmissions?")
 	}
-	// OutageSweep rejects a negative duration loudly.
-	bad := OutageSweep(base, cfg, modes[:1], []float64{0.05}, -1)
+	// A negative outage duration is rejected loudly.
+	bad := adaptive.Sweep(base, adaptive.Config{}, cfg, modes[:1], []float64{0.05}, -1)
 	if bad[0].Err == nil {
 		t.Error("negative outage duration accepted")
 	}
@@ -138,12 +148,13 @@ func TestModuleKillSweepReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []Mode{
-		{Name: "drop", Policy: routing.DropDead},
-		{Name: "drop+retx", Policy: routing.DropDead, Retransmit: true},
+	modes := []adaptive.Mode{
+		{Name: "drop", Policy: routing.DropDead, Transport: adaptive.Observe},
+		{Name: "drop+retx", Policy: routing.DropDead, Transport: adaptive.Retransmit},
 	}
 	kills := []int{0, 2}
-	pts := ModuleKillSweep(base, Config{Timeout: 40, MaxRetries: 3, Jitter: 4, Seed: 3}, modes, schemes, kills)
+	cfg := reliable.Config{Timeout: 40, MaxRetries: 3, Jitter: 4, Seed: 3}
+	pts := adaptive.ModuleKillSweep(base, adaptive.Config{}, cfg, modes, schemes, kills)
 	if want := len(modes) * len(schemes) * len(kills); len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
 	}
@@ -165,24 +176,68 @@ func TestModuleKillSweepReliability(t *testing.T) {
 	}
 }
 
-// Sweeps refuse base params that already carry a fault model or
-// transport instead of silently double-attaching.
+// Every sweep cell refuses base params that already carry a fault plan,
+// transport or router: concurrent cells would share the hook. The
+// refusal names the cell.
 func TestSweepRejectsPreloadedBase(t *testing.T) {
-	base := routing.Params{N: 4, Lambda: 0.1, Cycles: 100, Seed: 1}
-	base.Reliable = MustNew(DefaultConfig(4))
-	pts := Sweep(base, DefaultConfig(4), StandardModes()[:1], []float64{0})
-	if pts[0].Err == nil {
-		t.Error("sweep accepted base params with a preloaded transport")
-	}
-	base2 := routing.Params{N: 4, Lambda: 0.1, Cycles: 100, Seed: 1, Faults: faults.MustPlan(4)}
-	pts2 := ModuleKillSweep(base2, DefaultConfig(4), StandardModes()[:1], nil, nil)
-	_ = pts2 // empty cells: nothing to run, but the guard lives per cell
 	schemes, err := faults.StandardSchemes(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts3 := ModuleKillSweep(base2, DefaultConfig(4), StandardModes()[:1], schemes, []int{0})
-	if pts3[0].Err == nil {
-		t.Error("module-kill sweep accepted base params with a preloaded fault plan")
+	modes := []adaptive.Mode{
+		{Name: "plain"},
+		{Name: "drop+retx", Policy: routing.DropDead, Transport: adaptive.Retransmit},
+		{Name: "adaptive", Adaptive: true, Transport: adaptive.Observe},
+	}
+	hooks := []struct {
+		name string
+		set  func(p *routing.Params)
+	}{
+		{"Faults", func(p *routing.Params) { p.Faults = faults.MustPlan(4) }},
+		{"Reliable", func(p *routing.Params) { p.Reliable = reliable.MustNew(reliable.DefaultConfig(4)) }},
+		{"Adaptive", func(p *routing.Params) {
+			rt, err := adaptive.New(adaptive.DefaultConfig(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Adaptive = rt
+		}},
+	}
+	kinds := []struct {
+		name string
+		run  func(base routing.Params) []adaptive.Cell
+	}{
+		{"link", func(base routing.Params) []adaptive.Cell {
+			return adaptive.Sweep(base, adaptive.DefaultConfig(4), reliable.DefaultConfig(4), modes, []float64{0, 0.05}, 0)
+		}},
+		{"outage", func(base routing.Params) []adaptive.Cell {
+			return adaptive.Sweep(base, adaptive.DefaultConfig(4), reliable.DefaultConfig(4), modes, []float64{0, 0.05}, 20)
+		}},
+		{"module-kill", func(base routing.Params) []adaptive.Cell {
+			return adaptive.ModuleKillSweep(base, adaptive.DefaultConfig(4), reliable.DefaultConfig(4), modes, schemes, []int{0, 1})
+		}},
+	}
+	for _, hook := range hooks {
+		for _, kind := range kinds {
+			t.Run(hook.name+"/"+kind.name, func(t *testing.T) {
+				base := routing.Params{N: 4, Lambda: 0.1, Cycles: 100, Seed: 1}
+				hook.set(&base)
+				pts := kind.run(base)
+				if len(pts) == 0 {
+					t.Fatal("sweep produced no cells")
+				}
+				for _, pt := range pts {
+					if pt.Err == nil {
+						t.Fatalf("%s cell accepted base params with a preloaded %s hook", pt.Mode, hook.name)
+					}
+					if !strings.Contains(pt.Err.Error(), "mode "+pt.Mode+" ") {
+						t.Errorf("error %q does not name the cell", pt.Err)
+					}
+					if pt.Result != nil {
+						t.Errorf("%s cell ran despite the preloaded hook", pt.Mode)
+					}
+				}
+			})
+		}
 	}
 }

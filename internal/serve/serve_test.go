@@ -577,7 +577,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte
 // never shed.
 func TestMaxInflightShed(t *testing.T) {
 	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
+	var unpark sync.Once
 	srv := New(Config{MaxInflight: 1, MaxDim: 8})
 	mux := http.NewServeMux()
 	// Park the first request inside the gate via a slow body: the
@@ -585,6 +585,9 @@ func TestMaxInflightShed(t *testing.T) {
 	mux.Handle("/", srv.Handler())
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
+	// Cleanups run last in, first out: a failing test frees the parked
+	// request before ts.Close waits for its connection.
+	t.Cleanup(func() { unpark.Do(func() { close(release) }) })
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -597,7 +600,6 @@ func TestMaxInflightShed(t *testing.T) {
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		entered <- struct{}{}
 		go func() {
 			<-release
 			_, _ = pw.Write([]byte(`{"family":"collinear","n":8}`))
@@ -611,21 +613,21 @@ func TestMaxInflightShed(t *testing.T) {
 		resp.Body.Close()
 	}()
 
-	<-entered
-	// Wait until the parked request is actually inside the gate.
+	// Probe only once the parked request holds the one slot, so the
+	// probe - never the parked request - is the one shed.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, body := post(t, ts, "/v1/packaging", `{"variant":"row","n":6}`)
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatalf("503 without Retry-After: %s", body)
-			}
-			break
-		}
+	for srv.inflight.Load() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("overload gate never shed (last status %d)", resp.StatusCode)
+			t.Fatal("parked request never entered the gate")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	resp, body := post(t, ts, "/v1/packaging", `{"variant":"row","n":6}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("overload gate did not shed: status %d: %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("503 without Retry-After: %s", body)
 	}
 
 	// Health and stats stay reachable while /v1/ is saturated.
@@ -644,6 +646,6 @@ func TestMaxInflightShed(t *testing.T) {
 		t.Fatalf("statsz reports cap %d, want 1", stats.MaxInflight)
 	}
 
-	close(release)
+	unpark.Do(func() { close(release) })
 	wg.Wait()
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"bfvlsi/internal/faults"
+	"bfvlsi/internal/adaptive"
+	"bfvlsi/internal/reliable"
 	"bfvlsi/internal/routing"
 )
 
@@ -51,14 +52,15 @@ func (s *SweepSpec) Validate() error {
 	return nil
 }
 
-// Run executes one simulation per fault rate via faults.Sweep. The
-// points are a pure function of the spec (each level draws its faults
-// from a seed derived from Seed and the level index).
-func (s *SweepSpec) Run() ([]faults.Point, error) {
+// Run executes one simulation per fault rate: a plain degradation sweep
+// (misroute policy, no transport) of adaptive.Sweep. The points are a
+// pure function of the spec (each level draws its faults from a seed
+// derived from Seed and the level index).
+func (s *SweepSpec) Run() ([]adaptive.Cell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return faults.Sweep(routing.Params{
+	base := routing.Params{
 		N:           s.N,
 		Lambda:      s.Lambda,
 		Warmup:      s.Warmup,
@@ -66,7 +68,9 @@ func (s *SweepSpec) Run() ([]faults.Point, error) {
 		Seed:        s.Seed,
 		BufferLimit: s.BufferLimit,
 		TTL:         s.TTL,
-	}, s.Rates), nil
+	}
+	plain := []adaptive.Mode{{Name: "misroute", Policy: routing.Misroute}}
+	return adaptive.Sweep(base, adaptive.Config{}, reliable.Config{}, plain, s.Rates, 0), nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
