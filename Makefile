@@ -55,9 +55,10 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # The simulator hot-loop budget (EXPERIMENTS.md E24): ns/cycle from the
-# benchmark at n=8 and n=10, five samples per mode and size so a
-# before/after comparison is a median with its spread, and the
-# steady-state zero-allocation guard on the simulator cycle loop.
+# benchmark at n=8, 9 and 10, serial (s1) and on two shards (s2), five
+# samples per row so a before/after comparison is a median with its
+# spread, and the steady-state zero-allocation guard on the simulator
+# cycle loop at both shard counts.
 bench-alloc:
 	$(GO) test -run '^$$' -bench BenchmarkStepAllocs -benchtime 3x -count 5 ./internal/routing
 	$(GO) test -run TestStepAllocsZero -count=1 ./internal/routing
@@ -105,6 +106,7 @@ adaptive-sweep:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanComposition -fuzztime=30s ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzAdaptiveConservation -fuzztime=30s ./internal/adaptive
+	$(GO) test -run='^$$' -fuzz=FuzzShardIdentity -fuzztime=30s ./internal/routing
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzRouteSpecRoundTrip -fuzztime=15s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzLayoutSpecRoundTrip -fuzztime=15s ./internal/wire

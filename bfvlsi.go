@@ -325,7 +325,8 @@ func FaultSchemeFromPartition(name string, part *Partition, sb *SwapButterfly) (
 type ReliableStats = reliable.Stats
 
 // RoutingSim is the stepwise form of the routing simulator: construct,
-// Step cycle by cycle, capture State mid-run, Finish for the result.
+// Step cycle by cycle or RunTo a cycle, capture State mid-run, Finish
+// for the result.
 // SimulateRouting remains the one-shot form; the stepwise form exists
 // for checkpoint/resume workflows (internal/snapshot, cmd/bfsweep) and
 // their distributed fan-out (internal/dispatch, cmd/bffarm), which

@@ -221,6 +221,9 @@ func TestWorkerKilledMidLease(t *testing.T) {
 // the half-open probe re-admits it. Worker 1 answers slowly (chaos
 // Delay) so the run outlasts the cooldown and the round-robin pick is
 // guaranteed to reach the condemned worker again while work remains.
+// One query in flight at a time makes worker 0's two failing calls
+// consecutive: with several in flight, its third call (a success) could
+// settle between them and reset the strike count.
 func TestBreakerCondemnsAndRecovers(t *testing.T) {
 	spec := testSpec()
 	want := serialEncoding(t, spec)
@@ -228,6 +231,7 @@ func TestBreakerCondemnsAndRecovers(t *testing.T) {
 	u0, _ := worker(t, chaos.FirstN(2, chaos.Error500))
 	u1, _ := worker(t, chaos.Cycle(chaos.Delay))
 	cfg := testConfig(u0, u1)
+	cfg.Inflight = 1
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = 5 * time.Millisecond
 	rep, st := mustRun(t, spec, cfg)

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -21,37 +22,48 @@ func allocBenchParams(bufferLimit, cycles int) Params {
 }
 
 // stepBenchSizes are the butterfly sizes BenchmarkStepAllocs times: the
-// E24 workload at n=8, and at n=10 the shape of a perfbench sim-large
-// request, where the queues outgrow the CPU caches.
+// E24 workload at n=8, at n=10 the shape of a perfbench sim-large
+// request, where the queues outgrow the CPU caches, and n=9 between
+// them, the smallest size the default shard rule cuts.
 var stepBenchSizes = []struct {
 	name              string
 	n, warmup, cycles int
 }{
 	{"n8", 8, 200, 800},
+	{"n9", 9, 50, 200},
 	{"n10", 10, 50, 200},
 }
 
+// stepBenchShards are the forced shard counts BenchmarkStepAllocs times
+// every size and mode at: s1 is the serial engine, s2 the parallel step
+// on two row-block shards, whatever the default shard rule would pick.
+var stepBenchShards = []int{1, 2}
+
 // BenchmarkStepAllocs measures the per-cycle cost of the simulator hot
-// loop in both buffer modes at each of stepBenchSizes (ns/cycle and
-// allocations). The companion TestStepAllocsZero pins the steady-state
-// allocation count to zero; this benchmark records the speed of the
-// loop (see EXPERIMENTS.md E24).
+// loop in both buffer modes at each of stepBenchSizes and
+// stepBenchShards (ns/cycle and allocations). The companion
+// TestStepAllocsZero pins the steady-state allocation count to zero;
+// this benchmark records the speed of the loop and the parallel step's
+// scaling (see EXPERIMENTS.md E24).
 func BenchmarkStepAllocs(b *testing.B) {
 	for _, sz := range stepBenchSizes {
 		for _, bc := range allocModes {
-			b.Run(sz.name+"/"+bc.name, func(b *testing.B) {
-				p := allocBenchParams(bc.bufferLimit, sz.cycles)
-				p.N, p.Warmup = sz.n, sz.warmup
-				cyclesPerRun := float64(p.Warmup + p.Cycles)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Simulate(p); err != nil {
-						b.Fatal(err)
+			for _, shards := range stepBenchShards {
+				b.Run(fmt.Sprintf("%s/%s/s%d", sz.name, bc.name, shards), func(b *testing.B) {
+					ForceShards(b, shards)
+					p := allocBenchParams(bc.bufferLimit, sz.cycles)
+					p.N, p.Warmup = sz.n, sz.warmup
+					cyclesPerRun := float64(p.Warmup + p.Cycles)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := Simulate(p); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cyclesPerRun), "ns/cycle")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cyclesPerRun), "ns/cycle")
+				})
+			}
 		}
 	}
 }
@@ -97,24 +109,31 @@ var allocModes = []struct {
 
 // TestStepAllocsZero is the allocation regression guard for the
 // simulator cycle loop: in steady state it may not allocate in either
-// buffer mode. Queue buffers, the arrivals scratch, and the VC credit
-// table all reach their high-water capacity during the first measured
-// block and are reused from then on, so the marginal cycle cost is
-// exactly zero.
+// buffer mode, serial or on two shards. Queue buffers, the arrivals and
+// handoff scratch, and the VC credit table all reach their high-water
+// capacity during the first measured block and are reused from then on,
+// and the worker team starts once a run, so the marginal cycle cost is
+// exactly zero. The shard count is forced: AllocsPerRun sets GOMAXPROCS
+// to 1, under which the default rule never shards.
 func TestStepAllocsZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation steady-state run skipped in -short mode")
 	}
 	for _, bc := range allocModes {
 		t.Run(bc.name, func(t *testing.T) {
-			if got := marginalAllocsPerCycle(t, bc.bufferLimit, nil); got != 0 {
-				t.Errorf("steady-state hot loop allocates %g times per cycle, want 0", got)
+			for _, shards := range stepBenchShards {
+				t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
+					ForceShards(t, shards)
+					if got := marginalAllocsPerCycle(t, bc.bufferLimit, nil); got != 0 {
+						t.Errorf("steady-state hot loop allocates %g times per cycle, want 0", got)
+					}
+				})
 			}
 		})
 	}
 }
 
-// linkProbe is a fault model without faults. Sim.traverse asks it
+// linkProbe is a fault model without faults. Sim.moveRow asks it
 // LinkDown once per occupied queue, from inside the link loop, so with
 // alloc set it plants one heap allocation per call in the loop body.
 type linkProbe struct{ alloc bool }

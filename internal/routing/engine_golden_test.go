@@ -39,6 +39,11 @@ type engineRow struct {
 // expire, or to when the next hop is routed moves Reroutes, Detours or
 // trace bytes under some row. Regenerate deliberately with
 // `go test ./internal/routing -run TestEngineGoldenDigests -update`.
+//
+// The rows run once more at forced shard counts 2 and 4 (at most one
+// row a shard) against the same committed digests: the parallel step
+// must reproduce the serial engine's bytes. Rows with a transport or an
+// adaptive router keep one shard, so they only repeat there.
 func TestEngineGoldenDigests(t *testing.T) {
 	rows := engineRows(t)
 	got := make(map[string]string, len(rows))
@@ -50,6 +55,18 @@ func TestEngineGoldenDigests(t *testing.T) {
 		got[r.name] = d1
 	}
 	path := filepath.Join("testdata", "engine_digests.txt")
+	if !*updateDigests {
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+				routing.ForceShards(t, shards)
+				for _, r := range rows {
+					if d := runDigest(t, r); d != got[r.name] {
+						t.Errorf("%s: %d shards give digest %s, one shard %s", r.name, shards, d, got[r.name])
+					}
+				}
+			})
+		}
+	}
 	if *updateDigests {
 		names := make([]string, 0, len(got))
 		for name := range got {

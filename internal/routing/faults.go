@@ -12,8 +12,10 @@ package routing
 // links are dead during each cycle. The simulator calls BeginCycle exactly
 // once per simulated cycle (warmup included, cycle 0 first) and then
 // queries the frozen state; implementations may mutate their state only in
-// BeginCycle. A FaultModel must not be shared by concurrently running
-// simulations.
+// BeginCycle. Between BeginCycle calls a sharded run calls NodeDown and
+// LinkDown concurrently from its workers, so they must be safe to call
+// concurrently with each other (pure reads of the frozen state are). A
+// FaultModel must not be shared by concurrently running simulations.
 type FaultModel interface {
 	// BeginCycle fixes the fault state for the given absolute cycle
 	// (0-based, counting warmup cycles).

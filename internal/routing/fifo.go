@@ -2,18 +2,20 @@ package routing
 
 import "math"
 
-// queueSlab holds every FIFO queue of a run as a ring carved from one
+// queueSlab holds a shard's FIFO queues as rings carved from one
 // contiguous packet slab. The per-queue bookkeeping is a dense 16-byte
 // ring record (four to a cache line) and the slots are indices into the
-// shared slab, so a link's queue costs one bookkeeping load and one slot
-// load, with no slice header or pointer to chase between them. A queue
-// that empties rewinds its head to slot 0, so a queue that drains often
-// keeps its traffic near the start of its slots.
+// slab, so a link's queue costs one bookkeeping load and one slot load,
+// with no slice header or pointer to chase between them. Every shard's
+// slab shares the run's one ring table, indexed by the global queue
+// number, and touches only the records of its own queues. A queue that
+// empties rewinds its head to slot 0, so a queue that drains often keeps
+// its traffic near the start of its slots.
 //
 // Finite-buffer queues are carved with exactly BufferLimit slots and
 // never grow: the engine checks full before every push, and the credit
 // scheme bounds every arrival. An unbounded queue that fills moves to a
-// fresh region of twice its size appended to the slab (see grow); the
+// fresh region of twice its size appended to its slab (see grow); the
 // region it leaves is not reused. A relocation that finds the slab full
 // doubles its capacity, so the first one reserves as much room again as
 // the whole initial carve and later ones rarely allocate: once the
@@ -32,18 +34,6 @@ type queueSlab struct {
 type ring struct {
 	off, size int32
 	head, n   int32
-}
-
-// newQueueSlab returns count empty queues of size slots each (size ≥ 1).
-func newQueueSlab(count, size int) queueSlab {
-	qs := queueSlab{
-		rings: make([]ring, count),
-		slots: make([]packet, count*size),
-	}
-	for i := range qs.rings {
-		qs.rings[i] = ring{off: int32(i * size), size: int32(size)}
-	}
-	return qs
 }
 
 // len returns the number of packets queued on q.

@@ -15,7 +15,7 @@ import (
 // internal/snapshot).
 //
 // One engine serves both buffer modes, running the same phases every
-// cycle in the order Step lists them. With BufferLimit 0 each directed
+// cycle in the order step lists them. With BufferLimit 0 each directed
 // link owns one unbounded FIFO. Finite buffers alone would deadlock -
 // the column wrap closes a cyclic channel dependency, the textbook
 // motivation for Dally-style virtual channels - so each link owns numVC
@@ -28,7 +28,7 @@ import (
 // each physical link per cycle, and arbitration scans from the highest
 // VC down for a movable head.
 //
-// The order traverse visits links is part of the output. It is row-major:
+// The order the links move in is part of the output. It is row-major:
 // row by row, and within a row column by column. Two constraints make it
 // so. First, the two links into a node leave the same column, and their
 // relative order decides both which of two packets is enqueued first
@@ -43,9 +43,46 @@ import (
 // on a copy of the engine (2-core Xeon VM, Go 1.24): no faster at n=10,
 // λ=0.1 (0.91-0.98 s against 0.89-1.0 s a run), and it changed all 16 finite-buffer adaptive rows of
 // the engine's 100 golden digests and the checkpoint golden frame, while
-// every other row stayed identical. A parallel step that shards the link
-// loop has to reproduce this order, or merge the router's observations
-// in it.
+// every other row stayed identical.
+//
+// The parallel step cuts the rows into 2^k shards on their top k bits
+// (shard.go): shard i owns rows [i<<(n-k), (i+1)<<(n-k)) in every column,
+// with their queues, and runs on its own worker (team.go). This is the
+// packaging cut of Theorem 2.1 applied to the simulator: a link of column
+// c < n-k flips a low row bit and stays in its shard, so only the cross
+// links of the top k columns, k/(2n) of all links, leave a shard. Every
+// cycle then runs:
+//
+//   - inject (and retransmit, re-plan) serially: there is one RNG stream;
+//   - a parallel region: each shard expires its dead heads, sets its
+//     queues' credits and moves its links in row-major order - all of
+//     them with unbounded FIFOs, only columns below n-k with finite
+//     buffers;
+//   - with finite buffers, a serial pass moving the top-k-column links of
+//     every row in row-major order. Those links, and only they, race for
+//     credits across a shard boundary (the two links into a node of
+//     column c+1 both leave column c), and their target queues are
+//     disjoint from the low columns', so the credit-race order is the
+//     serial engine's;
+//   - a parallel region draining the moves. A node has at most one
+//     foreign source link, the cross link from the shard that differs in
+//     the flipped bit, which precedes the straight link in row order when
+//     that shard is lower. So a shard lands the handoffs from lower
+//     shards, then its own moves, then the handoffs from higher shards:
+//     exactly the serial push order of every queue;
+//   - each shard's counters folded in shard order, before the trace line.
+//
+// The latency and hop sums are integer partials per shard and cycle;
+// added to the float64 accumulators they are exact below 2^53, so the
+// fold order cannot change them. The Transport and AdaptiveRouter calls
+// depend on call order (Register ids, the observations behind Choose), so
+// a run with either hook keeps one shard; a FaultModel is only read
+// between BeginCycle calls and may stay attached. The serial engine is
+// the one-shard case of the same code, and any shard count gives the
+// same bytes (TestShardIdentity). The shards of a phase touch disjoint
+// state, so the caller may equally run them one after another: it does
+// for a single Step, and whenever concurrent runs leave no processor
+// for the workers (team.go's busy budget).
 //
 // The determinism contract extends to checkpointing: a run restored
 // from a SimState is packet-for-packet (and trace-byte) identical to
@@ -64,8 +101,10 @@ const numVC = 3
 const unboundedSlots = 8
 
 // Sim is one in-flight simulation. Create with NewSim or
-// RestoreSim, advance with Step, and collect the result with Finish.
-// A Sim must not be shared by concurrently running goroutines.
+// RestoreSim, advance with Step, RunTo or Finish, and collect the result
+// with Finish. A Sim must not be shared by concurrently running
+// goroutines; a sharded Sim runs its own workers inside each RunTo call
+// and joins them before the call returns.
 type Sim struct {
 	p       Params
 	pattern Pattern
@@ -77,23 +116,29 @@ type Sim struct {
 	src *detrng.Source
 	rng *rand.Rand
 
-	// queues holds queue (node*2+out)*vcs + vc for every output and VC:
-	// vcs is 1 with unbounded FIFOs and numVC with finite buffers, so a
-	// packet's virtual channel is its queue index mod vcs.
-	queues queueSlab
-	vcs    int
+	// rings holds the bookkeeping of queue (node*2+out)*vcs + vc for
+	// every output and VC: vcs is 1 with unbounded FIFOs and numVC with
+	// finite buffers, so a packet's virtual channel is its queue index
+	// mod vcs. Each shard's slab shares this table and owns the slots of
+	// its own queues.
+	rings []ring
+	vcs   int
 	// room is the finite buffers' per-cycle credit scratch (else nil).
 	room []int
+
+	// shards cut the rows on their top k bits: row>>shift is a row's
+	// shard, shift = n-k. team runs shards 1.. in parallel phases (nil
+	// with one shard).
+	shards []shard
+	k      int
+	shift  int
+	team   *team
 
 	res       *Result
 	latSum    float64
 	hopSum    float64
 	latCount  int
 	crossings int64
-
-	// Per-cycle scratch, hoisted: reset to length zero each cycle, the
-	// backing array reaches its high-water capacity once and is reused.
-	arrivals []arrival
 }
 
 // arrival is the link-traversal scratch record: a packet that crossed a
@@ -111,7 +156,7 @@ type arrival struct {
 
 // NewSim validates p and builds a simulation positioned before cycle 0,
 // resetting the attached hooks and writing the trace header. Advance it
-// with Step or Finish.
+// with Step, RunTo or Finish.
 func NewSim(p Params, pattern Pattern) (*Sim, error) {
 	s, err := buildSim(p, pattern)
 	if err != nil {
@@ -163,25 +208,24 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 	s := &Sim{
 		p: p, pattern: pattern,
 		n: n, rows: rows, nodes: nodes,
-		total:    p.Warmup + p.Cycles,
-		src:      detrng.New(p.Seed),
-		res:      &Result{Nodes: nodes},
-		vcs:      1,
-		arrivals: make([]arrival, 0, 2*nodes),
+		total: p.Warmup + p.Cycles,
+		src:   detrng.New(p.Seed),
+		res:   &Result{Nodes: nodes},
+		vcs:   1,
 	}
 	s.rng = rand.New(s.src)
+	// Queues start at unboundedSlots and double when full; see the
+	// constant for the choice. Credit backpressure bounds every finite
+	// VC queue at BufferLimit slots, so carving exactly that much means
+	// no such queue ever grows - the hot loop cannot allocate through a
+	// push.
+	slots := unboundedSlots
 	if p.BufferLimit > 0 {
-		// Credit backpressure bounds every VC queue at BufferLimit slots,
-		// so carving exactly that much means no queue ever grows - the
-		// hot loop cannot allocate through a push.
-		s.vcs = numVC
-		s.queues = newQueueSlab(nodes*2*numVC, p.BufferLimit)
+		s.vcs, slots = numVC, p.BufferLimit
 		s.room = make([]int, nodes*2*numVC)
-	} else {
-		// Queues start at unboundedSlots and double when full; see the
-		// constant for the choice.
-		s.queues = newQueueSlab(nodes*2, unboundedSlots)
 	}
+	s.rings = make([]ring, nodes*2*s.vcs)
+	s.cut(shardBits(&p, n), slots)
 	return s, nil
 }
 
@@ -201,6 +245,37 @@ func (s *Sim) Step() error {
 	if s.Done() {
 		return fmt.Errorf("routing: step past the end of the %d-cycle run", s.total)
 	}
+	return s.RunTo(s.cycle + 1)
+}
+
+// RunTo simulates cycles until Cycle() reaches cycle, which must lie
+// between Cycle() and Total(). It holds a processor of the shared
+// budget (busy) while it runs. A sharded run of more than one cycle
+// starts its worker team here and joins it before returning, on every
+// path; a single cycle runs its shards on the calling goroutine.
+func (s *Sim) RunTo(cycle int) error {
+	if cycle < s.cycle || cycle > s.total {
+		return fmt.Errorf("routing: cannot run to cycle %d from %d (total %d)", cycle, s.cycle, s.total)
+	}
+	if cycle == s.cycle {
+		return nil
+	}
+	busy.Add(1)
+	defer busy.Add(-1)
+	if s.team != nil && cycle > s.cycle+1 {
+		s.team.start()
+		defer s.team.stop()
+	}
+	for s.cycle < cycle {
+		if err := s.step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// step simulates one cycle.
+func (s *Sim) step() error {
 	p := &s.p
 	measured := s.cycle >= p.Warmup
 	if p.Faults != nil {
@@ -219,20 +294,29 @@ func (s *Sim) Step() error {
 	if p.Reliable != nil {
 		s.retransmit()
 	}
-	// Finite buffers discard dead heads before the re-plan so that it,
-	// and the credits computed after it, see the freed slots. Unbounded
-	// FIFOs discard them after the re-plan, just before the links move.
-	if s.room != nil {
-		s.expire()
-	}
 	if p.Adaptive != nil {
+		// Finite buffers discard dead heads before the re-plan so that
+		// it, and the credits computed after it, see the freed slots.
+		// Unbounded FIFOs discard them after the re-plan, just before
+		// the links move. Without a router the move phase expires.
+		if s.room != nil {
+			s.expire(&s.shards[0])
+		}
 		s.replan()
+		if s.room == nil {
+			s.expire(&s.shards[0])
+		}
 	}
-	if s.room == nil {
-		s.expire()
+	s.parallel(phaseMove, measured)
+	if s.room != nil && s.k > 0 {
+		// The top-k-column links race for credits across shard
+		// boundaries: they move here, serially, in row-major order.
+		for row := 0; row < s.rows; row++ {
+			s.moveRow(&s.shards[row>>s.shift], row, s.n-s.k, s.n, measured)
+		}
 	}
-	s.traverse(measured)
-	s.drain(measured)
+	s.parallel(phaseDrain, measured)
+	s.fold()
 	if p.Trace != nil && measured {
 		if _, err := fmt.Fprintf(p.Trace, "%d,%d,%d,%d\n",
 			s.cycle-p.Warmup, s.res.Injected, s.res.Delivered, s.backlog()); err != nil {
@@ -346,50 +430,55 @@ func (s *Sim) refuse(dst int) (refused, learned bool) {
 // offer routes a packet entering at node src and places it on VC 0 of
 // its chosen output, or reports that a full entry queue refused it.
 func (s *Sim) offer(pk packet, src int) (full bool) {
-	out, drop, mis, det := route(&pk, src%s.rows, src/s.rows, s.rows, &s.p)
+	row := src % s.rows
+	out, drop, mis, det := route(&pk, row, src/s.rows, s.rows, &s.p)
 	q := (src*2 + out) * s.vcs
 	if !drop && s.full(q) {
 		return true
 	}
-	s.place(q, pk, drop, mis, det)
+	s.shards[row>>s.shift].place(q, pk, drop, mis, det)
 	return false
 }
 
-// place pushes pk onto queue q, counting a misroute or detour, or drops
-// it (the DropDead policy at a dead planned link).
-func (s *Sim) place(q int, pk packet, drop, mis, det bool) {
+// place pushes pk onto queue q of shard sh, counting a misroute or
+// detour, or drops it (the DropDead policy at a dead planned link).
+func (sh *shard) place(q int, pk packet, drop, mis, det bool) {
 	if drop {
-		s.res.Dropped++
+		sh.t.dropped++
 		return
 	}
 	if mis {
-		s.res.Misroutes++
+		sh.t.misroutes++
 	}
 	if det {
-		s.res.Detours++
+		sh.t.detours++
 	}
-	s.queues.push(q, pk)
+	sh.qs.push(q, pk)
 }
 
-// expire discards dead queue heads: copies older than the TTL into
-// Dropped, copies of payloads the transport abandoned into GaveUp.
-func (s *Sim) expire() {
-	p, res := &s.p, s.res
+// expire discards the dead heads of sh's queues: copies older than the
+// TTL into Dropped, copies of payloads the transport abandoned into
+// GaveUp.
+func (s *Sim) expire(sh *shard) {
+	p := &s.p
 	if p.TTL <= 0 && p.Reliable == nil {
 		return
 	}
-	qs := &s.queues
-	for q := range qs.rings {
-		for qs.len(q) > 0 {
-			head := qs.front(q)
-			if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
-				res.GaveUp++
-			} else if p.TTL > 0 && s.cycle-int(head.born) >= p.TTL {
-				res.Dropped++
-			} else {
-				break
+	qs := &sh.qs
+	for col := 0; col < s.n; col++ {
+		q0, q1 := s.queueSpan(sh, col)
+		for q := q0; q < q1; q++ {
+			for qs.len(q) > 0 {
+				head := qs.front(q)
+				if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
+					sh.t.gaveUp++
+				} else if p.TTL > 0 && s.cycle-int(head.born) >= p.TTL {
+					sh.t.dropped++
+				} else {
+					break
+				}
+				qs.pop(q)
 			}
-			qs.pop(q)
 		}
 	}
 }
@@ -401,9 +490,9 @@ func (s *Sim) expire() {
 // re-closes. Only heads move: packets behind them follow on later cycles
 // if the condemnation persists. Choose is deterministic within a cycle,
 // so a moved head re-examined at its new queue re-chooses the same
-// output - no ping-pong.
+// output - no ping-pong. A run with a router has one shard.
 func (s *Sim) replan() {
-	p, res, rows, vcs, qs := &s.p, s.res, s.rows, s.vcs, &s.queues
+	p, res, rows, vcs, qs := &s.p, s.res, s.rows, s.vcs, &s.shards[0].qs
 	for node := 0; node < s.nodes; node++ {
 		row, col := node%rows, node/rows
 		for out := 0; out < 2; out++ {
@@ -432,90 +521,138 @@ func (s *Sim) replan() {
 	}
 }
 
-// traverse moves at most one packet across every live directed link into
-// s.arrivals; nothing is enqueued until every link has moved (synchronous
-// step). Finite-buffer arbitration takes the highest VC whose head has a
-// credit for its next queue; credits are computed from start-of-phase
-// occupancy (conservative) and consumed as moves are granted.
-func (s *Sim) traverse(measured bool) {
-	p, res, qs, room := &s.p, s.res, &s.queues, s.room
-	n, rows, vcs := s.n, s.rows, s.vcs
-	for i := range room {
-		room[i] = p.BufferLimit - qs.len(i)
+// move is shard sh's first parallel phase: it expires dead heads (unless
+// the re-plan already did), sets the credits of its queues and moves its
+// links, all columns with unbounded FIFOs and the low n-k with finite
+// buffers, in row-major order.
+func (s *Sim) move(sh *shard, measured bool) {
+	sh.arrivals = sh.arrivals[:0]
+	for d := range sh.handoff {
+		sh.handoff[d] = sh.handoff[d][:0]
 	}
-	arrivals := s.arrivals[:0]
-	for row := 0; row < rows; row++ {
-		for col := 0; col < n; col++ {
-			node := col*rows + row
-			nextCol := (col + 1) % n
-			for out := 0; out < 2; out++ {
-				link := node*2 + out
-				nr := row
-				if out == 1 {
-					nr = row ^ (1 << uint(col))
+	if s.p.Adaptive == nil {
+		s.expire(sh)
+	}
+	cols := s.n
+	if room := s.room; room != nil {
+		// Credits come from start-of-phase occupancy (conservative) and
+		// are consumed as moves are granted.
+		for col := 0; col < s.n; col++ {
+			q0, q1 := s.queueSpan(sh, col)
+			for q := q0; q < q1; q++ {
+				room[q] = s.p.BufferLimit - sh.qs.len(q)
+			}
+		}
+		cols = s.n - s.k
+	}
+	for row := sh.lo; row < sh.hi; row++ {
+		s.moveRow(sh, row, 0, cols, measured)
+	}
+}
+
+// moveRow moves at most one packet across every live directed link out
+// of columns [c0, c1) of row, which shard sh owns, recording the moves
+// as sh's arrivals or as handoffs to the shard they land in; nothing is
+// enqueued until every link has moved (synchronous step). Finite-buffer
+// arbitration takes the highest VC whose head has a credit for its next
+// queue.
+func (s *Sim) moveRow(sh *shard, row, c0, c1 int, measured bool) {
+	p, qs, room, t := &s.p, &sh.qs, s.room, &sh.t
+	n, rows, vcs := s.n, s.rows, s.vcs
+	arrivals := sh.arrivals
+	for col := c0; col < c1; col++ {
+		node := col*rows + row
+		nextCol := col + 1
+		if nextCol == n {
+			nextCol = 0
+		}
+		for out := 0; out < 2; out++ {
+			link := node*2 + out
+			nr := row
+			if out == 1 {
+				nr = row ^ (1 << uint(col))
+			}
+			for vc := vcs - 1; vc >= 0; vc-- {
+				q := link*vcs + vc
+				if qs.len(q) == 0 {
+					continue
 				}
-				for vc := vcs - 1; vc >= 0; vc-- {
-					q := link*vcs + vc
-					if qs.len(q) == 0 {
-						continue
+				if p.Faults != nil && p.Faults.LinkDown(node, out) {
+					// Dead link: nothing moves, no credits consumed.
+					if measured {
+						t.stalls++
 					}
-					if p.Faults != nil && p.Faults.LinkDown(node, out) {
-						// Dead link: nothing moves, no credits consumed.
-						if measured {
-							res.Stalls++
-						}
-						if p.Adaptive != nil {
-							p.Adaptive.ObserveFailure(link)
-						}
-						break
-					}
-					pk := qs.front(q)
-					nvc, nout, drop, mis, det := vc, 0, false, false, false
-					if nextCol == 0 && vc < vcs-1 {
-						nvc++ // dateline crossing
-					}
-					if room != nil && (int(pk.dstRow) != nr || int(pk.dstCol) != nextCol) {
-						// Finite buffers route the next hop here, once, on
-						// a scratch copy: a move the credit check denies
-						// discards the decision whole (Choose is a pure
-						// read, so the call left no state behind), and the
-						// drain reuses the stored flags. Packets dropped
-						// on arrival consume no credit.
-						nout, drop, mis, det = route(&pk, nr, nextCol, rows, p)
-						if !drop {
-							nq := ((nextCol*rows+nr)*2+nout)*vcs + nvc
-							if room[nq] <= 0 {
-								if measured {
-									res.Stalls++
-								}
-								continue
-							}
-							room[nq]--
-						}
-					}
-					qs.pop(q)
-					pk.hops++
 					if p.Adaptive != nil {
-						p.Adaptive.ObserveSuccess(link)
+						p.Adaptive.ObserveFailure(link)
 					}
-					if p.ModuleOf != nil && measured && p.ModuleOf[node] != p.ModuleOf[nextCol*rows+nr] {
-						s.crossings++
-					}
-					arrivals = append(arrivals, arrival{pk: pk, row: uint16(nr), col: uint8(nextCol),
-						vc: uint8(nvc), out: uint8(nout), drop: drop, mis: mis, det: det})
 					break
 				}
+				pk := qs.front(q)
+				nvc, nout, drop, mis, det := vc, 0, false, false, false
+				if nextCol == 0 && vc < vcs-1 {
+					nvc++ // dateline crossing
+				}
+				if room != nil && (int(pk.dstRow) != nr || int(pk.dstCol) != nextCol) {
+					// Finite buffers route the next hop here, once, on
+					// a scratch copy: a move the credit check denies
+					// discards the decision whole (Choose is a pure
+					// read, so the call left no state behind), and the
+					// drain reuses the stored flags. Packets dropped
+					// on arrival consume no credit.
+					nout, drop, mis, det = route(&pk, nr, nextCol, rows, p)
+					if !drop {
+						nq := ((nextCol*rows+nr)*2+nout)*vcs + nvc
+						if room[nq] <= 0 {
+							if measured {
+								t.stalls++
+							}
+							continue
+						}
+						room[nq]--
+					}
+				}
+				qs.pop(q)
+				pk.hops++
+				if p.Adaptive != nil {
+					p.Adaptive.ObserveSuccess(link)
+				}
+				if p.ModuleOf != nil && measured && p.ModuleOf[node] != p.ModuleOf[nextCol*rows+nr] {
+					t.crossings++
+				}
+				a := arrival{pk: pk, row: uint16(nr), col: uint8(nextCol),
+					vc: uint8(nvc), out: uint8(nout), drop: drop, mis: mis, det: det}
+				if d := nr >> s.shift; d == sh.id {
+					arrivals = append(arrivals, a)
+				} else {
+					sh.handoff[d] = append(sh.handoff[d], a)
+				}
+				break
 			}
 		}
 	}
-	s.arrivals = arrivals
+	sh.arrivals = arrivals
 }
 
-// drain delivers or enqueues this cycle's arrivals in traversal order.
-func (s *Sim) drain(measured bool) {
-	p, res, rows, vcs, bounded := &s.p, s.res, s.rows, s.vcs, s.room != nil
-	for i := range s.arrivals {
-		a := &s.arrivals[i]
+// drain is shard sh's second parallel phase: it delivers or enqueues
+// every move that landed in sh - the handoffs from lower shards, its
+// own, then the handoffs from higher shards, which is traversal order
+// at every queue.
+func (s *Sim) drain(sh *shard, measured bool) {
+	for i := range s.shards[:sh.id] {
+		s.land(sh, s.shards[i].handoff[sh.id], measured)
+	}
+	s.land(sh, sh.arrivals, measured)
+	for i := sh.id + 1; i < len(s.shards); i++ {
+		s.land(sh, s.shards[i].handoff[sh.id], measured)
+	}
+}
+
+// land delivers or enqueues arrivals at their nodes in shard sh, in
+// order.
+func (s *Sim) land(sh *shard, arrivals []arrival, measured bool) {
+	p, t, rows, vcs, bounded := &s.p, &sh.t, s.rows, s.vcs, s.room != nil
+	for i := range arrivals {
+		a := &arrivals[i]
 		row, col := int(a.row), int(a.col)
 		if int(a.pk.dstRow) == row && int(a.pk.dstCol) == col {
 			born := int(a.pk.born)
@@ -523,23 +660,23 @@ func (s *Sim) drain(measured bool) {
 				v, born0 := p.Reliable.Arrive(s.cycle, a.pk.rid)
 				switch v {
 				case DeliverDuplicate:
-					res.DuplicatesDropped++
+					t.duplicates++
 					continue
 				case DeliverGaveUp:
-					res.GaveUp++
+					t.gaveUp++
 					continue
 				}
 				// End-to-end latency runs from the payload's first
 				// injection, not this copy's emission.
 				born = born0
 			}
-			res.TotalDelivered++
+			t.totalDelivered++
 			if measured {
-				res.Delivered++
+				t.delivered++
 				if born >= p.Warmup {
-					s.latSum += float64(s.cycle - born + 1)
-					s.hopSum += float64(a.pk.hops)
-					s.latCount++
+					t.lat += int64(s.cycle - born + 1)
+					t.hops += int64(a.pk.hops)
+					t.latCount++
 				}
 			}
 			continue
@@ -550,20 +687,20 @@ func (s *Sim) drain(measured bool) {
 			// link has moved and reported to the adaptive router.
 			out, drop, mis, det = route(&a.pk, row, col, rows, p)
 		}
-		s.place(((col*rows+row)*2+out)*vcs+int(a.vc), a.pk, drop, mis, det)
+		sh.place(((col*rows+row)*2+out)*vcs+int(a.vc), a.pk, drop, mis, det)
 	}
 }
 
 // full reports whether queue q has no free slot (never, when unbounded).
 func (s *Sim) full(q int) bool {
-	return s.p.BufferLimit > 0 && s.queues.len(q) >= s.p.BufferLimit
+	return s.p.BufferLimit > 0 && int(s.rings[q].n) >= s.p.BufferLimit
 }
 
 // backlog returns the total number of queued packets.
 func (s *Sim) backlog() int {
 	total := 0
-	for q := range s.queues.rings {
-		total += s.queues.len(q)
+	for q := range s.rings {
+		total += int(s.rings[q].n)
 	}
 	return total
 }
@@ -572,14 +709,12 @@ func (s *Sim) backlog() int {
 // The Sim itself is left at the end of the run; Finish is idempotent
 // once the run completes.
 func (s *Sim) Finish() (*Result, error) {
-	for !s.Done() {
-		if err := s.Step(); err != nil {
-			return nil, err
-		}
+	if err := s.RunTo(s.total); err != nil {
+		return nil, err
 	}
 	res := *s.res
-	for q := range s.queues.rings {
-		l := s.queues.len(q)
+	for q := range s.rings {
+		l := int(s.rings[q].n)
 		res.Backlog += l
 		if l > res.MaxQueue {
 			res.MaxQueue = l

@@ -68,9 +68,10 @@ func (s *Sim) State() *SimState {
 	if backlog := s.backlog(); backlog > 0 {
 		st.Packets = make([]PacketState, 0, backlog)
 	}
-	for q := range s.queues.rings {
-		for i := 0; i < s.queues.len(q); i++ {
-			pk := s.queues.at(q, i)
+	for q := range s.rings {
+		qs := &s.shardOfQueue(q).qs
+		for i := 0; i < qs.len(q); i++ {
+			pk := qs.at(q, i)
 			st.Packets = append(st.Packets, PacketState{
 				Queue: q, DstRow: int(pk.dstRow), DstCol: int(pk.dstCol),
 				Born: int(pk.born), Hops: int(pk.hops), RID: pk.rid,
@@ -112,7 +113,7 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 		if s.full(ps.Queue) {
 			return nil, fmt.Errorf("routing: restore packet %d: queue %d over BufferLimit %d", i, ps.Queue, p.BufferLimit)
 		}
-		s.queues.push(ps.Queue, packet{
+		s.shardOfQueue(ps.Queue).qs.push(ps.Queue, packet{
 			dstRow: int32(ps.DstRow), dstCol: int8(ps.DstCol), born: int32(ps.Born),
 			hops: int32(ps.Hops), rid: ps.RID, detours: int16(ps.Detours), blocked: int8(ps.Blocked),
 		})
@@ -134,8 +135,8 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 // the birth cycle by the run length ≤ MaxInt32 (buildSim), hops and
 // detours by their own checks here.
 func (s *Sim) checkPacket(ps *PacketState, cycle int) error {
-	if ps.Queue < 0 || ps.Queue >= len(s.queues.rings) {
-		return fmt.Errorf("queue %d out of [0,%d)", ps.Queue, len(s.queues.rings))
+	if ps.Queue < 0 || ps.Queue >= len(s.rings) {
+		return fmt.Errorf("queue %d out of [0,%d)", ps.Queue, len(s.rings))
 	}
 	if ps.DstRow < 0 || ps.DstRow >= s.rows || ps.DstCol < 0 || ps.DstCol >= s.n {
 		return fmt.Errorf("destination (%d,%d) outside %dx%d", ps.DstRow, ps.DstCol, s.rows, s.n)

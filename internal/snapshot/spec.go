@@ -282,15 +282,7 @@ func Start(spec Spec, trace io.Writer) (*Run, error) {
 
 // StepTo advances the run to the given cycle boundary.
 func (r *Run) StepTo(cycle int) error {
-	if cycle < r.Sim.Cycle() || cycle > r.Sim.Total() {
-		return fmt.Errorf("snapshot: cannot step to cycle %d from %d (total %d)", cycle, r.Sim.Cycle(), r.Sim.Total())
-	}
-	for r.Sim.Cycle() < cycle {
-		if err := r.Sim.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.Sim.RunTo(cycle)
 }
 
 // Finish runs the remaining cycles and returns the final result,
