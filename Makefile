@@ -18,10 +18,10 @@ lint:
 	bin/bflint ./...
 
 # The v3 concurrency gate: the interprocedural contract analyzers
-# (lockcheck, atomicmix, goleak, sweepshare) over the whole module,
+# (lockcheck, goleak, sweepshare) over the whole module,
 # alongside the race detector on the packages those contracts police.
-# The analyzers prove the //bflint:guardedby and atomic disciplines on
-# every CFG path; the race detector catches whatever slips outside the
+# The analyzers prove the //bflint:guardedby discipline on every CFG
+# path; the race detector catches whatever slips outside the
 # annotations' reach.
 lint-concurrency:
 	$(GO) build -o bin/bflint ./cmd/bflint

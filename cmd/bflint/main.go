@@ -2,7 +2,7 @@
 // mechanical form of the determinism, conservation, and facade
 // contracts (see internal/lint).
 //
-// Standalone mode loads packages from source:
+// Standalone mode expands the patterns with `go list`:
 //
 //	go run ./cmd/bflint ./...
 //
@@ -13,6 +13,9 @@
 //	go build -o bin/bflint ./cmd/bflint
 //	go vet -vettool=$PWD/bin/bflint ./...
 //
+// Both modes type-check through internal/lint/load: the linted package
+// from source, its imports from the compiler's export data.
+//
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
@@ -21,11 +24,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"strings"
@@ -194,14 +192,19 @@ const (
 	outSARIF
 )
 
-// runStandalone loads the patterns from source and lints each package.
+// runStandalone loads the patterns and lints each package.
 func runStandalone(patterns []string, mode outputMode) int {
-	ld := load.New()
-	pkgs, err := ld.Load(patterns...)
+	pkgs, err := load.New().Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bflint:", err)
 		return 2
 	}
+	return lintPackages(pkgs, mode)
+}
+
+// lintPackages runs the bound analyzers over each package and reports
+// the findings in the given format.
+func lintPackages(pkgs []*load.Package, mode outputMode) int {
 	var found []jsonDiagnostic
 	for _, pkg := range pkgs {
 		diags, err := lint.Run(pkg.Path, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
@@ -242,25 +245,22 @@ func runStandalone(patterns []string, mode outputMode) int {
 	return 0
 }
 
-// vetConfig is the compilation-unit description `go vet` hands the
-// tool; field names follow the x/tools unitchecker Config.
+// vetConfig is the subset of the compilation-unit description `go vet`
+// hands the tool that bflint reads; field names follow the x/tools
+// unitchecker Config.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// runVet analyzes one compilation unit under the go vet protocol: types
-// come from the compiler's export data rather than source.
+// runVet analyzes one compilation unit under the go vet protocol.
 func runVet(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -272,89 +272,26 @@ func runVet(cfgPath string) int {
 		fmt.Fprintf(os.Stderr, "bflint: decoding %s: %v\n", cfgPath, err)
 		return 2
 	}
-
 	// bflint keeps no cross-package facts, but the protocol requires
 	// the facts file to exist for downstream units.
-	writeFacts := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-				fmt.Fprintln(os.Stderr, "bflint:", err)
-				os.Exit(2)
-			}
-		}
-	}
-
-	// Packages outside the module (stdlib deps being vetted for facts)
-	// have no bound analyzers; skip the type-check entirely.
-	if cfg.VetxOnly || len(lint.AnalyzersFor(cfg.ImportPath)) == 0 {
-		writeFacts()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeFacts()
-				return 0
-			}
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
 			fmt.Fprintln(os.Stderr, "bflint:", err)
 			return 2
 		}
-		files = append(files, f)
 	}
-
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		return compilerImporter.Import(path)
-	})
-
-	tconf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
+	// Packages outside the module (stdlib deps being vetted for facts)
+	// have no bound analyzers; skip the type-check entirely.
+	if cfg.VetxOnly || len(lint.AnalyzersFor(cfg.ImportPath)) == 0 {
+		return 0
 	}
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := load.ForUnit(cfg.ImportMap, cfg.PackageFile, cfg.GoVersion).Check(cfg.ImportPath, cfg.Dir, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			writeFacts()
 			return 0
 		}
 		fmt.Fprintln(os.Stderr, "bflint:", err)
 		return 2
 	}
-
-	diags, err := lint.Run(cfg.ImportPath, fset, files, tpkg, info)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bflint: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	writeFacts()
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Category)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
+	return lintPackages([]*load.Package{pkg}, outText)
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -93,9 +93,6 @@ func TestEmitJSONCleanIsEmptyReport(t *testing.T) {
 // End to end: `bflint -json` over a clean package exits 0 and prints a
 // parseable (empty) report on stdout.
 func TestRunJSONCleanPackage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package load skipped in -short mode")
-	}
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {

@@ -95,9 +95,6 @@ func TestJSONAndSARIFAreExclusive(t *testing.T) {
 // -writeschema is byte-stable run over run and matches the committed
 // manifest, so `cmp` in make lint-schema is a reliable drift gate.
 func TestWriteSchemaIsStableAndCommitted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package load skipped in -short mode")
-	}
 	dir := t.TempDir()
 	first := filepath.Join(dir, "first.lock")
 	second := filepath.Join(dir, "second.lock")

@@ -13,19 +13,17 @@ import (
 // returned by Run is the authoritative record; Live answers "what is
 // the fleet doing right now" while Run is still in flight.
 //
-// Live is the first in-repo consumer of the bflint v3 concurrency
-// contracts: the hot counters are int64 fields touched only through
-// sync/atomic (the atomicmix discipline — coordinator goroutines bump
-// them without any coordinator lock), and the lane table set once by
-// Run is a //bflint:guardedby field behind its own mutex.
+// The hot counters are typed atomics, so coordinator goroutines bump
+// them without any coordinator lock and a plain access cannot be
+// written; the lane table set once by Run is a //bflint:guardedby field
+// behind its own mutex.
 type Live struct {
-	// Counters. Accessed only via sync/atomic (atomicmix contract).
-	leasesOutstanding int64 // leases granted and not yet settled
-	leasesGranted     int64
-	calls             int64
-	retries           int64
-	hedges            int64
-	delivered         int64
+	leasesOutstanding atomic.Int64 // leases granted and not yet settled
+	leasesGranted     atomic.Int64
+	calls             atomic.Int64
+	retries           atomic.Int64
+	hedges            atomic.Int64
+	delivered         atomic.Int64
 
 	mu    sync.Mutex
 	lanes []*workerState //bflint:guardedby mu -- set by Run, read by Snapshot
@@ -70,37 +68,37 @@ func (l *Live) leaseGranted() {
 	if l == nil {
 		return
 	}
-	atomic.AddInt64(&l.leasesOutstanding, 1)
-	atomic.AddInt64(&l.leasesGranted, 1)
-	atomic.AddInt64(&l.calls, 1)
+	l.leasesOutstanding.Add(1)
+	l.leasesGranted.Add(1)
+	l.calls.Add(1)
 }
 
 func (l *Live) leaseSettled() {
 	if l == nil {
 		return
 	}
-	atomic.AddInt64(&l.leasesOutstanding, -1)
+	l.leasesOutstanding.Add(-1)
 }
 
 func (l *Live) retry() {
 	if l == nil {
 		return
 	}
-	atomic.AddInt64(&l.retries, 1)
+	l.retries.Add(1)
 }
 
 func (l *Live) hedge() {
 	if l == nil {
 		return
 	}
-	atomic.AddInt64(&l.hedges, 1)
+	l.hedges.Add(1)
 }
 
 func (l *Live) deliver() {
 	if l == nil {
 		return
 	}
-	atomic.AddInt64(&l.delivered, 1)
+	l.delivered.Add(1)
 }
 
 // Snapshot reads the counters and every worker's breaker state. Safe to
@@ -108,12 +106,12 @@ func (l *Live) deliver() {
 // list is empty then) and after Run returns.
 func (l *Live) Snapshot() LiveStats {
 	st := LiveStats{
-		LeasesOutstanding: atomic.LoadInt64(&l.leasesOutstanding),
-		LeasesGranted:     atomic.LoadInt64(&l.leasesGranted),
-		Calls:             atomic.LoadInt64(&l.calls),
-		Retries:           atomic.LoadInt64(&l.retries),
-		Hedges:            atomic.LoadInt64(&l.hedges),
-		Delivered:         atomic.LoadInt64(&l.delivered),
+		LeasesOutstanding: l.leasesOutstanding.Load(),
+		LeasesGranted:     l.leasesGranted.Load(),
+		Calls:             l.calls.Load(),
+		Retries:           l.retries.Load(),
+		Hedges:            l.hedges.Load(),
+		Delivered:         l.delivered.Load(),
 		Breakers:          []BreakerStatus{},
 	}
 	l.mu.Lock()

@@ -36,8 +36,8 @@ import (
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	ld := load.New()
-	fx := &fixtureImporter{testdata: testdata, loader: ld, base: ld.Importer(), cache: map[string]*load.Package{}}
-	ld.SetImporter(fx)
+	fx := &fixtureImporter{testdata: testdata, loader: ld, cache: map[string]*load.Package{}}
+	ld.Importer = fx
 	for _, path := range pkgPaths {
 		pkg, err := fx.load(path)
 		if err != nil {
@@ -48,12 +48,11 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 }
 
 // fixtureImporter resolves import paths against the fixture tree first
-// and falls back to the surrounding loader (source importer) for the
-// standard library.
+// and falls back to the loader's export data for everything else (the
+// standard library and real module packages).
 type fixtureImporter struct {
 	testdata string
 	loader   *load.Loader
-	base     types.Importer
 	cache    map[string]*load.Package
 }
 
@@ -63,7 +62,7 @@ func (fx *fixtureImporter) Import(path string) (*types.Package, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	return fx.base.Import(path)
+	return fx.loader.Import(path)
 }
 
 func (fx *fixtureImporter) load(path string) (*load.Package, error) {

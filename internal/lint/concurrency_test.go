@@ -15,10 +15,10 @@ import (
 // gates on: the interprocedural call-graph/summary engine must run clean
 // over the tree, independently of what the rest of the suite does.
 var concurrencyAnalyzers = map[string]bool{
-	"lockcheck": true, "atomicmix": true, "goleak": true, "sweepshare": true,
+	"lockcheck": true, "goleak": true, "sweepshare": true,
 }
 
-// TestConcurrencyAnalyzersCleanOnRepo asserts the four concurrency
+// TestConcurrencyAnalyzersCleanOnRepo asserts the three concurrency
 // analyzers report zero findings across the module. The annotated
 // structs (serve's cache, dispatch's breaker and lease tables,
 // sweepfarm's journal) are the real fixtures here: a regression that

@@ -23,8 +23,6 @@
 //     state (sweepshare);
 //   - guarded fields: //bflint:guardedby annotations hold on every CFG
 //     path, through unexported helpers (lockcheck);
-//   - atomic discipline: a variable touched via sync/atomic is never
-//     read or written plainly (atomicmix);
 //   - goroutine accountability: every `go` statement has a reachable
 //     join or cancel signal (goleak);
 //
@@ -51,7 +49,6 @@ import (
 	"strings"
 
 	"bfvlsi/internal/lint/analysis"
-	"bfvlsi/internal/lint/atomicmix"
 	"bfvlsi/internal/lint/conscount"
 	"bfvlsi/internal/lint/detrand"
 	"bfvlsi/internal/lint/errflush"
@@ -113,7 +110,6 @@ func Suite() []*analysis.Analyzer {
 		errflush.Analyzer,
 		sweepshare.Analyzer,
 		lockcheck.Analyzer,
-		atomicmix.Analyzer,
 		goleak.Analyzer,
 		wirecover.Analyzer,
 		statecover.Analyzer,
@@ -168,7 +164,7 @@ func AnalyzersFor(pkgPath string) []*analysis.Analyzer {
 	// //bflint:guardedby field, and goroutines race no matter which
 	// package launches them.
 	out = append(out, maporder.Analyzer, conscount.Analyzer,
-		sweepshare.Analyzer, lockcheck.Analyzer, atomicmix.Analyzer, goleak.Analyzer)
+		sweepshare.Analyzer, lockcheck.Analyzer, goleak.Analyzer)
 	if wirePackages[pkgPath] {
 		out = append(out, wirecover.Analyzer, schemalock.Analyzer)
 	}

@@ -12,37 +12,23 @@ import (
 	"bfvlsi/internal/lint/load"
 )
 
-// sharedLoader is the one loader of a test run. Its source importer
-// type-checks the standard library from source, which is nearly all the
-// cost of a whole-module lint, so the module is linted once and the
-// mutation tests check their mutants against the same warm importer.
-var sharedLoader = sync.OnceValue(load.New)
-
-// repoLint caches the one whole-module lint; each repo-clean test
-// filters its findings instead of loading the module again.
-var repoLint struct {
-	once     sync.Once
-	findings []finding
-	err      error
-}
-
 // A finding is one surviving diagnostic, rendered for a failure report.
 type finding struct {
 	category string
 	text     string
 }
 
-// lintModule loads bfvlsi/... and runs every bound analyzer over it.
-func lintModule() {
-	pkgs, err := sharedLoader().Load("bfvlsi/...")
+// lintModule loads bfvlsi/... and runs every bound analyzer over it,
+// once per test binary; each repo-clean test filters its findings.
+var lintModule = sync.OnceValues(func() ([]finding, error) {
+	pkgs, err := load.New().Load("bfvlsi/...")
 	if err != nil {
-		repoLint.err = err
-		return
+		return nil, err
 	}
 	if len(pkgs) < 10 {
-		repoLint.err = fmt.Errorf("loaded only %d packages; expected the full module", len(pkgs))
-		return
+		return nil, fmt.Errorf("loaded only %d packages; expected the full module", len(pkgs))
 	}
+	var findings []finding
 	checked := 0
 	for _, p := range pkgs {
 		if len(lint.AnalyzersFor(p.Path)) == 0 {
@@ -51,32 +37,29 @@ func lintModule() {
 		checked++
 		diags, err := lint.Run(p.Path, p.Fset, p.Files, p.Types, p.Info)
 		if err != nil {
-			repoLint.err = fmt.Errorf("%s: %v", p.Path, err)
-			return
+			return nil, fmt.Errorf("%s: %v", p.Path, err)
 		}
 		for _, d := range diags {
-			repoLint.findings = append(repoLint.findings, finding{d.Category,
+			findings = append(findings, finding{d.Category,
 				fmt.Sprintf("%s: %s (%s)", p.Fset.Position(d.Pos), d.Message, d.Category)})
 		}
 	}
 	if checked < 5 {
-		repoLint.err = fmt.Errorf("only %d packages had analyzers bound; binding table looks broken", checked)
+		return nil, fmt.Errorf("only %d packages had analyzers bound; binding table looks broken", checked)
 	}
-}
+	return findings, nil
+})
 
 // assertCleanOnRepo fails the test if any analyzer named in analyzers
 // (nil: any analyzer at all) reports a finding on the module.
 func assertCleanOnRepo(t *testing.T, what string, analyzers map[string]bool) {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("whole-repo type-check skipped in -short mode")
-	}
-	repoLint.once.Do(lintModule)
-	if repoLint.err != nil {
-		t.Fatal(repoLint.err)
+	findings, err := lintModule()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var report []string
-	for _, f := range repoLint.findings {
+	for _, f := range findings {
 		if analyzers == nil || analyzers[f.category] {
 			report = append(report, f.text)
 		}

@@ -1,10 +1,13 @@
 // Package load turns Go package patterns into parsed, type-checked
 // packages for the bflint analyzers — a small stand-in for
 // golang.org/x/tools/go/packages built from the standard library only.
-// Package enumeration shells out to `go list` (the only authority on
-// pattern expansion and build-tag file selection); type information
-// comes from go/types with the source importer, so the loader needs no
-// compiled export data and works offline.
+// It is bflint's one type-check path, for standalone runs and the
+// `go vet -vettool` mode alike: the analyzed packages are parsed and
+// checked from source, and their imports are read from the compiler's
+// export data. Standalone, `go list -export -deps` (the only authority on
+// pattern expansion and build-tag file selection) names the export data
+// files and builds any that are not in the build cache; under go vet, the
+// go command hands each unit the same map.
 package load
 
 import (
@@ -17,8 +20,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -32,34 +38,83 @@ type Package struct {
 	Info  *types.Info
 }
 
-// A Loader type-checks packages against one shared FileSet and source
-// importer, so repeated loads share the transitively checked imports.
+// A Loader type-checks packages against one FileSet, importing their
+// dependencies from compiled export data.
 type Loader struct {
 	Fset *token.FileSet
-	imp  types.Importer
+	// Importer resolves the imports of checked packages. It is the
+	// loader's own export-data Import unless a caller layers another
+	// resolver over it (the analysistest harness resolves fixture
+	// packages this way).
+	Importer types.Importer
+
+	gc        types.Importer
+	goVersion string            // language version to check at; empty means the toolchain's
+	importMap map[string]string // import path → package path; nil maps a path to itself
+	exports   map[string]string // package path → export data file
+	golist    bool              // fill the export map with go list
 }
 
-// New returns a loader backed by the source importer. The importer
-// resolves module-local import paths through the go command, so callers
+// New returns a standalone loader. It runs the go command, so callers
 // must run with a working directory inside the module.
 func New() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return newLoader(nil, map[string]string{}, true)
+}
+
+// ForUnit returns a loader for one `go vet` compilation unit: imports
+// resolve through the unit's ImportMap and PackageFile, a path the unit
+// does not name is an error, and packages are checked at the unit's
+// language version.
+func ForUnit(importMap, packageFile map[string]string, goVersion string) *Loader {
+	l := newLoader(importMap, packageFile, false)
+	l.goVersion = goVersion
+	return l
+}
+
+func newLoader(importMap, exports map[string]string, golist bool) *Loader {
+	l := &Loader{Fset: token.NewFileSet(), importMap: importMap, exports: exports, golist: golist}
+	l.gc = importer.ForCompiler(l.Fset, "gc", l.open)
+	l.Importer = l
+	return l
+}
+
+// Import reads the named package from its export data.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if l.importMap != nil {
+		resolved, ok := l.importMap[path]
+		if !ok {
+			return nil, fmt.Errorf("can't resolve import %q", path)
+		}
+		path = resolved
+	}
+	return l.gc.Import(path)
+}
+
+// open is the export-data lookup of the gc importer.
+func (l *Loader) open(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("no export data for %q", path)
+	}
+	return os.Open(file)
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
-	Standard   bool
+	Export     string
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
-// Load expands the patterns with `go list` and type-checks each
-// matched package from source (non-test files only).
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Standard"}, patterns...)
+// list runs `go list -e -export -deps` over the patterns, records the
+// export data file of every package it names, and returns the listed
+// packages. A package go list cannot build carries an Error instead of
+// an export file.
+func (l *Loader) list(patterns ...string) ([]listedPackage, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -68,7 +123,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
 	dec := json.NewDecoder(bytes.NewReader(out))
-	var pkgs []*Package
+	var listed []listedPackage
 	for {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err == io.EOF {
@@ -76,9 +131,34 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
-		if len(lp.GoFiles) == 0 {
-			continue
+		if lp.Export != "" {
+			l.exports[lp.ImportPath] = lp.Export
 		}
+		listed = append(listed, lp)
+	}
+	return listed, nil
+}
+
+// Load expands the patterns with `go list` and type-checks each
+// matched package from source (non-test files only), in import-path
+// order.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	listed, err := l.list(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	var matched []listedPackage
+	for _, lp := range listed {
+		if lp.Error != nil {
+			return nil, fmt.Errorf("go list %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if !lp.DepOnly && len(lp.GoFiles) > 0 {
+			matched = append(matched, lp)
+		}
+	}
+	sort.Slice(matched, func(i, j int) bool { return matched[i].ImportPath < matched[j].ImportPath })
+	var pkgs []*Package
+	for _, lp := range matched {
 		files := make([]string, len(lp.GoFiles))
 		for i, f := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, f)
@@ -106,10 +186,27 @@ func (l *Loader) Check(path, dir string, filenames []string) (*Package, error) {
 	return l.CheckFiles(path, dir, files)
 }
 
-// CheckFiles type-checks already-parsed files as one package. The
-// importer may be overridden with SetImporter (the analysistest harness
-// layers fixture resolution over the source importer this way).
+// CheckFiles type-checks already-parsed files as one package. A
+// standalone loader first lists, in one go list call, the imports its
+// export map lacks; a path go list cannot build (a fixture-local
+// import) stays missing, for a layered Importer to resolve.
 func (l *Loader) CheckFiles(path, dir string, files []*ast.File) (*Package, error) {
+	if l.golist {
+		var missing []string
+		for _, f := range files {
+			for _, spec := range f.Imports {
+				imp, err := strconv.Unquote(spec.Path.Value)
+				if _, ok := l.exports[imp]; err == nil && !ok && imp != "unsafe" {
+					missing = append(missing, imp)
+				}
+			}
+		}
+		if len(missing) > 0 {
+			if _, err := l.list(missing...); err != nil {
+				return nil, err
+			}
+		}
+	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -118,18 +215,10 @@ func (l *Loader) CheckFiles(path, dir string, files []*ast.File) (*Package, erro
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l.Importer, GoVersion: l.goVersion}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
 	return &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
-
-// SetImporter replaces the loader's importer (used by the test harness
-// to resolve fixture-local imports before falling back to source).
-func (l *Loader) SetImporter(imp types.Importer) { l.imp = imp }
-
-// Importer exposes the loader's current importer so wrappers can
-// delegate to it.
-func (l *Loader) Importer() types.Importer { return l.imp }

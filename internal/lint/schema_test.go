@@ -30,15 +30,14 @@ func TestSchemaAnalyzersCleanOnRepo(t *testing.T) {
 // loadMutated parses every non-test file of the package under dir,
 // applying old→new to the named file, and type-checks the result. File
 // names keep their directory so schemalock resolves the same
-// schema.lock the real package uses. The mutant is checked with the
-// run's shared loader, whose importer already holds its dependencies.
+// schema.lock the real package uses.
 func loadMutated(t *testing.T, pkgPath, dir, mutateFile, old, new string) *load.Package {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := sharedLoader()
+	l := load.New()
 	var files []*ast.File
 	applied := false
 	for _, e := range entries {
@@ -97,9 +96,6 @@ func runMutated(t *testing.T, pkg *load.Package, category string) []string {
 // encode line from the real wire package and asserts wirecover reports
 // the field as never read on the marshal side.
 func TestWirecoverCatchesDroppedEncode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package type-check skipped in -short mode")
-	}
 	pkg := loadMutated(t, "bfvlsi/internal/wire", "../wire", "fault.go",
 		"\te.float64(s.LinkRate)\n", "")
 	msgs := runMutated(t, pkg, "wirecover")
@@ -114,9 +110,6 @@ func TestWirecoverCatchesDroppedEncode(t *testing.T) {
 // TestSchemalockCatchesFieldAddition adds a FaultSpec field without
 // bumping VersionFaultSpec and asserts schemalock demands the bump.
 func TestSchemalockCatchesFieldAddition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package type-check skipped in -short mode")
-	}
 	pkg := loadMutated(t, "bfvlsi/internal/wire", "../wire", "fault.go",
 		"\tLinkRate float64\n", "\tLinkRate float64\n\tAddedRate float64\n")
 	msgs := runMutated(t, pkg, "schemalock")
@@ -132,9 +125,6 @@ func TestSchemalockCatchesFieldAddition(t *testing.T) {
 // assignment from the real adaptive router and asserts statecover
 // reports the field as never read on the restore side.
 func TestStatecoverCatchesDroppedRestore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package type-check skipped in -short mode")
-	}
 	pkg := loadMutated(t, "bfvlsi/internal/adaptive", "../adaptive", "state.go",
 		"\tr.haveMap = st.HaveMap\n", "")
 	msgs := runMutated(t, pkg, "statecover")
