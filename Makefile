@@ -17,16 +17,16 @@ lint:
 	$(GO) build -o bin/bflint ./cmd/bflint
 	bin/bflint ./...
 
-# The v3 concurrency gate: the interprocedural contract analyzers
-# (lockcheck, goleak, sweepshare) over the whole module,
-# alongside the race detector on the packages those contracts police.
-# The analyzers prove the //bflint:guardedby discipline on every CFG
-# path; the race detector catches whatever slips outside the
-# annotations' reach.
+# The concurrency gate: lockcheck, the interprocedural guarded-field
+# analyzer, over the daemon and farm packages, alongside the race
+# detector on those packages and on internal/par, the fan-out every
+# sweep runs on. lockcheck proves the //bflint:guardedby discipline on
+# every CFG path; the race detector catches whatever slips outside the
+# annotations' reach, including a shared write from a sweep worker.
 lint-concurrency:
 	$(GO) build -o bin/bflint ./cmd/bflint
 	bin/bflint ./internal/dispatch ./internal/serve ./internal/sweepfarm ./cmd/bffarm
-	$(GO) test -race -count=1 ./internal/dispatch/... ./internal/serve/...
+	$(GO) test -race -count=1 ./internal/dispatch/... ./internal/serve/... ./internal/par/... ./internal/sweepfarm/...
 
 # The v4 serialization gate: the schema-drift analyzers (wirecover,
 # statecover, schemalock) over the wire/snapshot/state packages, plus a

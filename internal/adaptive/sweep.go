@@ -1,12 +1,13 @@
 package adaptive
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"bfvlsi/internal/faults"
+	"bfvlsi/internal/par"
 	"bfvlsi/internal/reliable"
 	"bfvlsi/internal/routing"
 )
@@ -126,7 +127,9 @@ func cellSeeds(modes []Mode, e22, e23 [2]int64) [2]int64 {
 func Sweep(base routing.Params, acfg Config, rcfg reliable.Config, modes []Mode, rates []float64, outage int) []Cell {
 	seeds := cellSeeds(modes, [2]int64{7_000_003, 13}, [2]int64{11_000_027, 19})
 	out := make([]Cell, len(modes)*len(rates))
-	forEach(len(out), func(idx int) {
+	// A cell's error stays in its Cell.Err, so no call fails and For
+	// cannot.
+	_ = par.For(context.Background(), len(out), runtime.GOMAXPROCS(0), func(_ context.Context, idx int) error {
 		mi, ri := idx/len(rates), idx%len(rates)
 		c := &out[idx]
 		c.Mode, c.Rate = modes[mi].Name, rates[ri]
@@ -152,6 +155,7 @@ func Sweep(base routing.Params, acfg Config, rcfg reliable.Config, modes []Mode,
 		if err != nil {
 			c.Err = fmt.Errorf("adaptive: mode %s rate %g: %w", c.Mode, c.Rate, err)
 		}
+		return nil
 	})
 	return out
 }
@@ -170,7 +174,9 @@ func Sweep(base routing.Params, acfg Config, rcfg reliable.Config, modes []Mode,
 func ModuleKillSweep(base routing.Params, acfg Config, rcfg reliable.Config, modes []Mode, schemes []faults.Scheme, kills []int) []Cell {
 	seeds := cellSeeds(modes, [2]int64{9_000_011, 17}, [2]int64{13_000_021, 29})
 	out := make([]Cell, len(modes)*len(schemes)*len(kills))
-	forEach(len(out), func(idx int) {
+	// A cell's error stays in its Cell.Err, so no call fails and For
+	// cannot.
+	_ = par.For(context.Background(), len(out), runtime.GOMAXPROCS(0), func(_ context.Context, idx int) error {
 		mi := idx / (len(schemes) * len(kills))
 		si := idx / len(kills) % len(schemes)
 		ki := idx % len(kills)
@@ -194,6 +200,7 @@ func ModuleKillSweep(base routing.Params, acfg Config, rcfg reliable.Config, mod
 		if err != nil {
 			c.Err = fmt.Errorf("adaptive: mode %s scheme %s kills %d: %w", c.Mode, c.Scheme, c.Killed, err)
 		}
+		return nil
 	})
 	return out
 }
@@ -264,31 +271,4 @@ func (c *Cell) run(base routing.Params, acfg Config, rcfg reliable.Config, m Mod
 		c.P99Latency = tr.LatencyPercentile(0.99)
 	}
 	return nil
-}
-
-// forEach runs f(0..n-1) on a capped worker pool.
-func forEach(n int, f func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

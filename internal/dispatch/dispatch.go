@@ -48,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"bfvlsi/internal/par"
 	"bfvlsi/internal/routing"
 	"bfvlsi/internal/sweepfarm"
 )
@@ -442,29 +443,14 @@ func (c *coordinator) runMissing(spec sweepfarm.Spec) error {
 	c.stats.Deduped = len(missing) - len(groups)
 	c.mu.Unlock()
 
-	jobs := make(chan *group)
-	var pool sync.WaitGroup
-	for w := 0; w < c.cfg.Inflight; w++ {
-		pool.Add(1)
-		go func() {
-			defer pool.Done()
-			for g := range jobs {
-				if err := c.runGroup(g); err != nil {
-					c.fail(err)
-				}
-			}
-		}()
-	}
-feed:
-	for _, g := range groups {
-		select {
-		case jobs <- g:
-		case <-c.runCtx.Done():
-			break feed
+	// A failed group stops the run through c.fail, which cancels
+	// c.runCtx; For's own result is that cancellation and adds nothing.
+	_ = par.For(c.runCtx, len(groups), c.cfg.Inflight, func(_ context.Context, i int) error {
+		if err := c.runGroup(groups[i]); err != nil {
+			c.fail(err)
 		}
-	}
-	close(jobs)
-	pool.Wait()
+		return nil
+	})
 	// Hedge stragglers may still be delivering; the journals stay open
 	// until every fire has landed.
 	c.fires.Wait()

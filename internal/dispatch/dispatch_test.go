@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -306,6 +308,62 @@ func TestCoordinatorKillResume(t *testing.T) {
 	}
 	if len(pts) != len(spec.Points) {
 		t.Fatalf("journals hold %d of %d points", len(pts), len(spec.Points))
+	}
+}
+
+// inCoordinator counts the goroutines whose stack runs through fn, a
+// function of this package such as "(*coordinator).attempt.func".
+func inCoordinator(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "bfvlsi/internal/dispatch."+fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunJoinsItsGoroutines checks that Run leaves nothing running: when
+// it returns, no group worker and no hedged attempt is still in flight,
+// and once the fleet's servers and idle connections are closed the
+// goroutine count comes back to its baseline, with and without hedging.
+// Worker 0 holds every request for 200ms, so under hedging the losing
+// primaries are the stragglers Run must wait for.
+func TestRunJoinsItsGoroutines(t *testing.T) {
+	spec := testSpec()
+	for _, hedge := range []time.Duration{0, 10 * time.Millisecond} {
+		base := runtime.NumGoroutine()
+		tr := &http.Transport{}
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			var sched chaos.Schedule
+			if hedge > 0 {
+				sched = chaos.Cycle(chaos.Delay)
+			}
+			u0, _ := worker(t, sched)
+			u1, _ := worker(t, nil)
+			cfg := testConfig(u0, u1)
+			cfg.Client = &http.Client{Transport: tr}
+			cfg.HedgeAfter = hedge
+			_, st := mustRun(t, spec, cfg)
+			for _, fn := range []string{"(*coordinator).attempt.func", "(*coordinator).runGroup"} {
+				if n := inCoordinator(fn); n > 0 {
+					t.Errorf("%d goroutines still in %s after Run returned", n, fn)
+				}
+			}
+			if hedge > 0 && st.Hedges == 0 {
+				t.Errorf("straggling worker hedged nothing: %+v", *st)
+			}
+		})
+		tr.CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("hedge=%v: %d goroutines still running, baseline %d", hedge, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -64,17 +65,16 @@ func TestRunUnknownName(t *testing.T) {
 }
 
 func TestAllNamesUniqueAndOrdered(t *testing.T) {
-	seen := map[string]bool{}
-	for _, ex := range All() {
-		if seen[ex.Name] {
-			t.Errorf("duplicate experiment %s", ex.Name)
+	all := All()
+	for i, ex := range all {
+		if want := fmt.Sprintf("e%d", i+1); ex.Name != want {
+			t.Errorf("experiment %d is named %s, want %s", i, ex.Name, want)
 		}
-		seen[ex.Name] = true
 		if ex.Desc == "" || ex.Run == nil {
 			t.Errorf("experiment %s incomplete", ex.Name)
 		}
 	}
-	if len(seen) != 20 {
-		t.Errorf("have %d experiments, want 18", len(seen))
+	if len(all) != 20 {
+		t.Errorf("have %d experiments, want 20", len(all))
 	}
 }

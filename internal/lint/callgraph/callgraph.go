@@ -1,23 +1,16 @@
 // Package callgraph is the interprocedural layer of the bflint suite:
 // a class-hierarchy-analysis (CHA) style call graph over one
-// type-checked package, per-function effect summaries (which parameters
-// and receiver fields a function writes without holding a lock, which
-// join signals a function can reach), and an intraprocedural lockset
-// dataflow built on the internal/lint/cfg engine.
+// type-checked package, and an intraprocedural lockset dataflow built
+// on the internal/lint/cfg engine.
 //
-// The concurrency analyzers (lockcheck, goleak, the v2 sweepshare) sit
-// on top of it. The engine is deliberately package-scoped and bounded:
+// lockcheck, statecover, wirecover and the schema engine sit on top of
+// it. The engine is deliberately package-scoped and bounded:
 //
 //   - calls that leave the package are opaque (no cross-package facts
-//     travel through the vet protocol), so their effects are assumed
-//     absent and their join signals assumed present only when a channel,
-//     context, or WaitGroup visibly crosses the call;
+//     travel through the vet protocol);
 //   - dynamic calls through interfaces resolve CHA-style to every
 //     package-local type implementing the interface, up to a fan-out
 //     bound (MaxInterfaceImpls) beyond which the site is left dynamic;
-//   - summaries propagate through call chains for a bounded number of
-//     rounds (SummaryRounds), so a helper chain deeper than the bound
-//     degrades to "no effect seen" rather than diverging;
 //   - reflection and closures stored in data structures defeat the
 //     graph entirely.
 //
@@ -27,19 +20,13 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strconv"
-	"strings"
 )
 
 // MaxInterfaceImpls bounds CHA fan-out at one interface call site;
 // beyond it the site stays dynamic (unresolved).
 const MaxInterfaceImpls = 8
-
-// SummaryRounds bounds effect propagation through call chains: a write
-// or join signal travels at most this many call edges.
-const SummaryRounds = 4
 
 // A Key names one lock (or any access path) as seen from inside one
 // function: the root object plus the dotted field path below it.
@@ -97,33 +84,6 @@ func Unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// RootIdent descends a selector/index/star/paren chain to its base
-// identifier (a.b[i].c -> a), or nil when the base is not an identifier.
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				e = x.X
-				continue
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
 // ---- call graph ----
 
 // A Node is one function or method declared in the package.
@@ -131,9 +91,8 @@ type Node struct {
 	Func *types.Func
 	Decl *ast.FuncDecl
 
-	calls   []*CallSite
-	effects *Effects
-	locks   *LockInfo
+	calls []*CallSite
+	locks *LockInfo
 }
 
 // A CallSite is one call expression inside a caller, with its resolved
@@ -153,21 +112,15 @@ type Graph struct {
 	Nodes map[*types.Func]*Node
 
 	callers map[*types.Func][]*CallSite
-	// closures maps local variables bound once to a function literal
-	// (f := func(){...}) to that literal, for resolving `go f(x)`.
-	closures map[types.Object]*ast.FuncLit
-
-	effectsDone bool
 }
 
 // Build constructs the call graph of one package.
 func Build(pkg *types.Package, info *types.Info, files []*ast.File) *Graph {
 	g := &Graph{
-		Pkg:      pkg,
-		Info:     info,
-		Nodes:    map[*types.Func]*Node{},
-		callers:  map[*types.Func][]*CallSite{},
-		closures: map[types.Object]*ast.FuncLit{},
+		Pkg:     pkg,
+		Info:    info,
+		Nodes:   map[*types.Func]*Node{},
+		callers: map[*types.Func][]*CallSite{},
 	}
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -188,32 +141,12 @@ func Build(pkg *types.Package, info *types.Info, files []*ast.File) *Graph {
 	return g
 }
 
-// scanBody records the node's call sites and single-assignment closure
-// bindings.
+// scanBody records the node's call sites.
 func (g *Graph) scanBody(node *Node) {
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			// f := func(){...}: remember the binding unless reassigned.
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || i >= len(n.Rhs) {
-					continue
-				}
-				obj := g.Info.ObjectOf(id)
-				if obj == nil {
-					continue
-				}
-				if lit, ok := Unparen(n.Rhs[i]).(*ast.FuncLit); ok && n.Tok == token.DEFINE {
-					g.closures[obj] = lit
-				} else if _, seen := g.closures[obj]; seen {
-					// Reassigned: the binding is no longer single.
-					delete(g.closures, obj)
-				}
-			}
-		case *ast.CallExpr:
-			callees, resolved := g.resolveCallees(n)
-			site := &CallSite{Caller: node, Call: n, Callees: callees, Resolved: resolved}
+		if call, ok := n.(*ast.CallExpr); ok {
+			callees, resolved := g.resolveCallees(call)
+			site := &CallSite{Caller: node, Call: call, Callees: callees, Resolved: resolved}
 			node.calls = append(node.calls, site)
 			for _, c := range callees {
 				g.callers[c.Func] = append(g.callers[c.Func], site)
@@ -222,9 +155,6 @@ func (g *Graph) scanBody(node *Node) {
 		return true
 	})
 }
-
-// NodeOf returns the node of a package-declared function, or nil.
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.Nodes[fn] }
 
 // CallersOf returns every recorded call site that may invoke fn.
 func (g *Graph) CallersOf(fn *types.Func) []*CallSite { return g.callers[fn] }
@@ -237,16 +167,6 @@ func (n *Node) Calls() []*CallSite { return n.calls }
 func (g *Graph) CalleesOf(call *ast.CallExpr) []*Node {
 	nodes, _ := g.resolveCallees(call)
 	return nodes
-}
-
-// ClosureOf resolves a local identifier bound exactly once to a
-// function literal (the `f := func(){...}; go f(x)` idiom).
-func (g *Graph) ClosureOf(id *ast.Ident) *ast.FuncLit {
-	obj := g.Info.ObjectOf(id)
-	if obj == nil {
-		return nil
-	}
-	return g.closures[obj]
 }
 
 // resolveCallees maps one call expression to package-local nodes.
@@ -337,12 +257,6 @@ func (g *Graph) chaResolve(m *types.Func) ([]*Node, bool) {
 	// exported (an implementation may live elsewhere), so interface
 	// sites are resolved-with-residue: callees listed, Resolved false.
 	return out, false
-}
-
-// IsTestFile reports whether the position lies in a _test.go file.
-func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
-	f := fset.File(pos)
-	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
 
 // keyID renders a Key for internal set membership.

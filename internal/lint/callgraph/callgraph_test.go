@@ -108,45 +108,6 @@ func chain() { direct(nil) }
 	}
 }
 
-func TestClosureBinding(t *testing.T) {
-	g := check(t, `package p
-
-func once() {
-	f := func() {}
-	go f()
-}
-
-func reassigned() {
-	f := func() {}
-	f = func() {}
-	go f()
-}
-`)
-	once := findFunc(t, g, "once")
-	var goStmt *ast.GoStmt
-	ast.Inspect(once.Decl.Body, func(n ast.Node) bool {
-		if gs, ok := n.(*ast.GoStmt); ok {
-			goStmt = gs
-		}
-		return true
-	})
-	id := goStmt.Call.Fun.(*ast.Ident)
-	if g.ClosureOf(id) == nil {
-		t.Fatal("single-assignment closure binding not resolved")
-	}
-
-	re := findFunc(t, g, "reassigned")
-	ast.Inspect(re.Decl.Body, func(n ast.Node) bool {
-		if gs, ok := n.(*ast.GoStmt); ok {
-			goStmt = gs
-		}
-		return true
-	})
-	if g.ClosureOf(goStmt.Call.Fun.(*ast.Ident)) != nil {
-		t.Fatal("reassigned closure must not resolve")
-	}
-}
-
 func TestLocksets(t *testing.T) {
 	g := check(t, `package p
 
@@ -215,67 +176,5 @@ func (x *c) bothArms(b bool) {
 	both := findFunc(t, g, "bothArms")
 	if !g.Locksets(both).Holds(findIdent(t, both, "n", 0), muKey(both)) {
 		t.Fatal("lock on both arms is must-held at the join")
-	}
-}
-
-func TestEffects(t *testing.T) {
-	g := check(t, `package p
-
-import "sync"
-
-func setPtr(p *int) { *p = 1 }
-
-func setMap(m map[string]int) { m["k"] = 1 }
-
-func setSlot(s []int, i int) { s[i] = 1 }
-
-func forward(q *int) { setPtr(q) }
-
-func guarded(mu *sync.Mutex, p *int) {
-	mu.Lock()
-	*p = 2
-	mu.Unlock()
-}
-
-func signal(wg *sync.WaitGroup) { defer wg.Done() }
-
-func viaHelper(wg *sync.WaitGroup) { signal(wg) }
-
-func d1() { d2() }
-func d2() { d3() }
-func d3() { d4() }
-func d4() { d5() }
-func d5() { d6() }
-func d6(ch ...chan int) { close(ch[0]) }
-`)
-	ef := func(name string) *Effects { return g.EffectsOf(findFunc(t, g, name)) }
-
-	if pe := ef("setPtr").Params[0]; pe == nil || !pe.Writes {
-		t.Fatal("setPtr must report a pointer write through param 0")
-	}
-	if pe := ef("setMap").Params[0]; pe == nil || !pe.WritesMap {
-		t.Fatal("setMap must report a map write through param 0")
-	}
-	if pe := ef("setSlot").Params[0]; pe == nil || len(pe.SliceIndexParams) != 1 || pe.SliceIndexParams[0] != 1 {
-		t.Fatalf("setSlot must report a slice write indexed by param 1, got %+v", pe)
-	}
-	if pe := ef("forward").Params[0]; pe == nil || !pe.Writes {
-		t.Fatal("forward must inherit setPtr's write through its own param")
-	}
-	if ef("guarded").Params != nil && ef("guarded").Params[1] != nil && ef("guarded").Params[1].Writes {
-		t.Fatal("a mutex-guarded write is not an unguarded effect")
-	}
-	if !ef("signal").WaitDone {
-		t.Fatal("deferred wg.Done must count as a join signal")
-	}
-	if !ef("viaHelper").WaitDone {
-		t.Fatal("join signals must travel one call edge")
-	}
-	// d1 → … → d6 is 5 edges; SummaryRounds bounds propagation at 4.
-	if ef("d2").ChanOp != true {
-		t.Fatal("d2 is 4 edges from the close; must see it")
-	}
-	if ef("d1").ChanOp {
-		t.Fatalf("d1 is %d edges from the close; the %d-round bound must stop it", 5, SummaryRounds)
 	}
 }

@@ -257,9 +257,6 @@ func (li *LockInfo) Holds(pos token.Pos, key Key) bool {
 	return false
 }
 
-// AnyHeld reports whether any lock at all is held at pos.
-func (li *LockInfo) AnyHeld(pos token.Pos) bool { return len(li.HeldAt(pos)) > 0 }
-
 // Locksets returns (building on first use) the node's lockset analysis.
 func (g *Graph) Locksets(n *Node) *LockInfo {
 	if n.locks == nil {

@@ -12,17 +12,14 @@ import (
 )
 
 // concurrencyAnalyzers are the concurrency-contract analyzers this file
-// gates on: the interprocedural call-graph/summary engine must run clean
+// gates on: lockcheck's interprocedural lockset check must run clean
 // over the tree, independently of what the rest of the suite does.
-var concurrencyAnalyzers = map[string]bool{
-	"lockcheck": true, "goleak": true, "sweepshare": true,
-}
+var concurrencyAnalyzers = map[string]bool{"lockcheck": true}
 
-// TestConcurrencyAnalyzersCleanOnRepo asserts the three concurrency
-// analyzers report zero findings across the module. The annotated
-// structs (serve's cache, dispatch's breaker and lease tables,
-// sweepfarm's journal) are the real fixtures here: a regression that
-// drops a lock or adds a joinless goroutine fails this test.
+// TestConcurrencyAnalyzersCleanOnRepo asserts lockcheck reports zero
+// findings across the module. The annotated structs (serve's cache,
+// dispatch's breaker and lease tables, sweepfarm's journal) are the
+// real fixtures here: a regression that drops a lock fails this test.
 func TestConcurrencyAnalyzersCleanOnRepo(t *testing.T) {
 	assertCleanOnRepo(t, "concurrency analyzers are", concurrencyAnalyzers)
 }

@@ -16,18 +16,14 @@
 //
 // plus the CLI error-path audit (errflush) for flush/close paths, and —
 // on the internal/lint/cfg control-flow graphs and the
-// internal/lint/callgraph call-graph/summary engine — the concurrency
-// contracts:
+// internal/lint/callgraph call-graph/lockset engine — the guarded-field
+// contract: //bflint:guardedby annotations hold on every CFG path,
+// through unexported helpers (lockcheck). Goroutine fan-outs are not
+// linted: they all run on internal/par, whose tests and the -race runs
+// over the sweeps built on it check joins and shared writes.
 //
-//   - sweep ownership: goroutine fan-outs write only goroutine-owned
-//     state (sweepshare);
-//   - guarded fields: //bflint:guardedby annotations hold on every CFG
-//     path, through unexported helpers (lockcheck);
-//   - goroutine accountability: every `go` statement has a reachable
-//     join or cancel signal (goleak);
-//
-// and — sharing that engine through internal/lint/schema — the
-// serialization contracts:
+// Sharing the call graph through internal/lint/schema, the suite also
+// checks the serialization contracts:
 //
 //   - wire coverage: every field of a MarshalBinary/UnmarshalBinary
 //     type is read in Marshal's call reach and written in Unmarshal's,
@@ -53,12 +49,10 @@ import (
 	"bfvlsi/internal/lint/detrand"
 	"bfvlsi/internal/lint/errflush"
 	"bfvlsi/internal/lint/facadecheck"
-	"bfvlsi/internal/lint/goleak"
 	"bfvlsi/internal/lint/lockcheck"
 	"bfvlsi/internal/lint/maporder"
 	"bfvlsi/internal/lint/schemalock"
 	"bfvlsi/internal/lint/statecover"
-	"bfvlsi/internal/lint/sweepshare"
 	"bfvlsi/internal/lint/wirecover"
 )
 
@@ -108,9 +102,7 @@ func Suite() []*analysis.Analyzer {
 		conscount.Analyzer,
 		facadecheck.Analyzer,
 		errflush.Analyzer,
-		sweepshare.Analyzer,
 		lockcheck.Analyzer,
-		goleak.Analyzer,
 		wirecover.Analyzer,
 		statecover.Analyzer,
 		schemalock.Analyzer,
@@ -158,13 +150,11 @@ func AnalyzersFor(pkgPath string) []*analysis.Analyzer {
 	if simulatorPackages[pkgPath] || servicePackages[pkgPath] || checkpointPackages[pkgPath] {
 		out = append(out, detrand.Analyzer)
 	}
-	// The map-order, conservation, and concurrency contracts bind
+	// The map-order, conservation, and guarded-field contracts bind
 	// everywhere in the module: a golden trace is only as deterministic
-	// as its least deterministic caller, any package may annotate a
-	// //bflint:guardedby field, and goroutines race no matter which
-	// package launches them.
-	out = append(out, maporder.Analyzer, conscount.Analyzer,
-		sweepshare.Analyzer, lockcheck.Analyzer, goleak.Analyzer)
+	// as its least deterministic caller, and any package may annotate a
+	// //bflint:guardedby field.
+	out = append(out, maporder.Analyzer, conscount.Analyzer, lockcheck.Analyzer)
 	if wirePackages[pkgPath] {
 		out = append(out, wirecover.Analyzer, schemalock.Analyzer)
 	}

@@ -103,32 +103,28 @@ func draws() int {
 }
 
 // The same escape hatch must work for the flow-sensitive analyzers:
-// sweepshare, which walks goroutine bodies through the call graph,
-// honours a same-line //bflint:ignore naming it and stays active on
-// unmarked lines.
+// lockcheck, which runs a lockset dataflow over the CFG and reaches
+// helpers through the call graph, honours a same-line //bflint:ignore
+// naming it and stays active on unmarked lines.
 func TestIgnoreCommentsDataflowAnalyzers(t *testing.T) {
 	const src = `package experiments
 
 import "sync"
 
-func sweep(n int) int {
-	var wg sync.WaitGroup
-	hits, misses := 0, 0
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hits++ //bflint:ignore sweepshare
-			misses++
-		}()
-	}
-	wg.Wait()
-	return hits + misses
+type tally struct {
+	mu     sync.Mutex
+	hits   int //bflint:guardedby mu
+	misses int //bflint:guardedby mu
+}
+
+func (t *tally) Bump() {
+	t.hits++ //bflint:ignore lockcheck
+	t.misses++
 }
 `
 	got := ignoreFixtureFindings(t, "dataflowfix.go", src)
 	want := map[string][]int{
-		"sweepshare": {13}, // hits ignored, misses flagged
+		"lockcheck": {13}, // hits ignored, misses flagged
 	}
 	assertFindingLines(t, got, want)
 }
@@ -175,18 +171,19 @@ func assertFindingLines(t *testing.T, got, want map[string][]int) {
 
 // One suppression comment must silence all findings on its line across
 // analyzers — here a single bare //bflint:ignore swallows both the
-// goleak finding (at the go statement) and the detrand finding (at the
-// time.Now call) — and two ignore comments sharing a line must union
-// their names rather than the later overwriting the earlier.
+// maporder finding (string accumulation in a map range) and the detrand
+// finding (the time.Now call) — and two ignore comments sharing a line
+// must union their names rather than the later overwriting the earlier.
 func TestIgnoreCrossAnalyzer(t *testing.T) {
 	const src = `package serve
 
 import "time"
 
-func fire() {
-	go func() { _ = time.Now() }() //bflint:ignore
-	go func() { _ = time.Now() }() /*bflint:ignore detrand*/ //bflint:ignore goleak
-	go func() { _ = time.Now() }()
+func stamp(m map[string]int) (s string) {
+	for k := range m { s += k + time.Now().String() } //bflint:ignore
+	for k := range m { s += k + time.Now().String() } /*bflint:ignore detrand*/ //bflint:ignore maporder
+	for k := range m { s += k + time.Now().String() }
+	return s
 }
 `
 	l := load.New()
@@ -213,7 +210,7 @@ func fire() {
 	if len(byLine[7]) != 0 {
 		t.Errorf("line 7 (two named ignores) still flagged by %v; ignore comments must union", byLine[7])
 	}
-	want := map[string]bool{"detrand": true, "goleak": true}
+	want := map[string]bool{"detrand": true, "maporder": true}
 	for _, cat := range byLine[8] {
 		delete(want, cat)
 	}

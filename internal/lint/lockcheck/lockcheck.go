@@ -11,8 +11,7 @@
 // internal/lint/callgraph lockset analysis, and interprocedurally:
 // an unexported helper may rely on its callers holding the lock
 // (the *Locked-suffix idiom), in which case every recorded call site is
-// checked instead, through up to callgraph.SummaryRounds levels of
-// helpers.
+// checked instead, through up to maxObligationDepth levels of helpers.
 //
 // Soundness limits (documented in DESIGN.md §12): the lock must be a
 // sibling field reachable by the same base path as the guarded field
@@ -43,7 +42,11 @@ var Analyzer = &analysis.Analyzer{
 
 // maxObligationDepth bounds how many caller levels an unexported
 // helper's lock obligation may climb before the access is reported.
-const maxObligationDepth = callgraph.SummaryRounds
+const maxObligationDepth = 4
+
+// recvParam is the obligation parameter index standing for the method
+// receiver.
+const recvParam = -1
 
 // obligation says: node's body accesses a guarded field whose lock is
 // reached through node's parameter Param at RelPath; some caller must
@@ -223,7 +226,7 @@ func (c *checker) paramIndexOf(node *callgraph.Node, obj types.Object) (int, boo
 		return 0, false
 	}
 	if r := sig.Recv(); r != nil && r == obj {
-		return callgraph.RecvParam, true
+		return recvParam, true
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
 		if sig.Params().At(i) == obj {
@@ -254,7 +257,7 @@ func (c *checker) drainObligations() {
 				continue
 			}
 			caller := site.Caller
-			arg, ok := callgraph.ArgExpr(site.Call, ob.param)
+			arg, ok := argExpr(site.Call, ob.param)
 			if ok {
 				if u, isAddr := callgraph.Unparen(arg).(*ast.UnaryExpr); isAddr && u.Op == token.AND {
 					arg = u.X
@@ -392,4 +395,21 @@ func isFreshExpr(e ast.Expr) bool {
 		return ok && id.Name == "new"
 	}
 	return false
+}
+
+// argExpr returns the caller expression feeding the callee's parameter
+// idx at this call: the receiver expression for recvParam, otherwise
+// the positional argument. Variadic tails beyond the declared
+// parameters are not mapped.
+func argExpr(call *ast.CallExpr, idx int) (ast.Expr, bool) {
+	if idx == recvParam {
+		if sel, ok := callgraph.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			return sel.X, true
+		}
+		return nil, false
+	}
+	if idx < 0 || idx >= len(call.Args) {
+		return nil, false
+	}
+	return call.Args[idx], true
 }

@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"context"
 	"runtime"
-	"sync"
+
+	"bfvlsi/internal/par"
 )
 
 // SweepPoint is one load point of a parallel sweep.
@@ -18,33 +20,15 @@ type SweepPoint struct {
 // sweep is reproducible regardless of scheduling.
 func ParallelSweep(base Params, lambdas []float64, pattern Pattern) []SweepPoint {
 	out := make([]SweepPoint, len(lambdas))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(lambdas) {
-		workers = len(lambdas)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int, len(lambdas))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := base
-				p.Lambda = lambdas[i]
-				p.Seed = base.Seed + int64(i)*1_000_003
-				r, err := SimulatePattern(p, pattern)
-				out[i] = SweepPoint{Lambda: lambdas[i], Result: r, Err: err}
-			}
-		}()
-	}
-	for i := range lambdas {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	// Per-point errors stay in out, so f never fails and For cannot.
+	_ = par.For(context.Background(), len(lambdas), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+		p := base
+		p.Lambda = lambdas[i]
+		p.Seed = base.Seed + int64(i)*1_000_003
+		r, err := SimulatePattern(p, pattern)
+		out[i] = SweepPoint{Lambda: lambdas[i], Result: r, Err: err}
+		return nil
+	})
 	return out
 }
 

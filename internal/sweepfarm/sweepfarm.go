@@ -14,11 +14,13 @@
 package sweepfarm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"bfvlsi/internal/par"
 	"bfvlsi/internal/routing"
 	"bfvlsi/internal/snapshot"
 	"bfvlsi/internal/wire"
@@ -196,66 +198,45 @@ func runMissing(spec Spec, o Options, done map[int]*routing.Result, jf *Journal)
 		workers = 4
 	}
 
+	// AbortAfter cancels ctx, which stops the hand-out; For then reports
+	// ctx.Err() unless a point failed.
+	ctx, abort := context.WithCancel(context.Background())
+	defer abort()
 	var (
 		mu        sync.Mutex
 		journaled int
-		aborted   bool
-		firstErr  error
 	)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				run, err := warm.Fork(spec.Points[i], nil)
-				var res *routing.Result
-				if err == nil {
-					res, err = run.Finish()
-				}
-				mu.Lock()
-				switch {
-				case err != nil:
-					if firstErr == nil {
-						firstErr = fmt.Errorf("sweepfarm: point %d: %w", i, err)
-					}
-				case aborted:
-					// Hard-abort semantics: results that finish after the
-					// abort are dropped unjournaled, like a killed process.
-				default:
-					if jf != nil {
-						if werr := jf.Append(Point{Index: i, Result: res}); werr != nil {
-							if firstErr == nil {
-								firstErr = werr
-							}
-							mu.Unlock()
-							continue
-						}
-					}
-					done[i] = res
-					journaled++
-					if o.AbortAfter > 0 && journaled >= o.AbortAfter {
-						aborted = true
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, i := range missing {
-		mu.Lock()
-		stop := aborted || firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
+	err = par.For(ctx, len(missing), workers, func(_ context.Context, k int) error {
+		i := missing[k]
+		run, err := warm.Fork(spec.Points[i], nil)
+		var res *routing.Result
+		if err == nil {
+			res, err = run.Finish()
 		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+		if err != nil {
+			return fmt.Errorf("sweepfarm: point %d: %w", i, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if ctx.Err() != nil {
+			// Hard-abort semantics: results that finish after the abort
+			// are dropped unjournaled, like a killed process.
+			return nil
+		}
+		if jf != nil {
+			if err := jf.Append(Point{Index: i, Result: res}); err != nil {
+				return err
+			}
+		}
+		done[i] = res
+		journaled++
+		if o.AbortAfter > 0 && journaled >= o.AbortAfter {
+			abort()
+		}
+		return nil
+	})
+	if err != nil && err != ctx.Err() {
+		return err
 	}
 	if len(done) < len(spec.Points) {
 		return fmt.Errorf("%w after %d points, %d missing", ErrAborted, journaled, len(spec.Points)-len(done))

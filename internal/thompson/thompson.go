@@ -25,10 +25,10 @@
 package thompson
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"bfvlsi/internal/bitutil"
 	"bfvlsi/internal/channel"
@@ -36,6 +36,7 @@ import (
 	"bfvlsi/internal/geom"
 	"bfvlsi/internal/grid"
 	"bfvlsi/internal/isn"
+	"bfvlsi/internal/par"
 )
 
 // NodeSide is the default side of each node box: the butterfly's maximum
@@ -432,44 +433,18 @@ func (b *builder) planChannels() error {
 	return nil
 }
 
-// routeChannelsParallel routes all planned channels across a worker pool.
+// routeChannelsParallel routes all planned channels across a worker
+// pool of at most 8 workers, stopping at the first routing error.
 func (b *builder) routeChannelsParallel() error {
-	type job struct{ j, blk int }
-	jobs := make(chan job, 64)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				nets := b.intraNets[jb.j][jb.blk]
-				plan, err := channel.Route(nets)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("thompson: step %d block %d: %v", jb.j, jb.blk, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				b.intraPlans[jb.j][jb.blk] = plan
-			}
-		}()
-	}
-	for j := range b.res.SB.Steps {
-		for blk := 0; blk < b.numBlocks; blk++ {
-			jobs <- job{j, blk}
+	return par.For(context.Background(), len(b.res.SB.Steps)*b.numBlocks, min(runtime.GOMAXPROCS(0), 8), func(_ context.Context, k int) error {
+		j, blk := k/b.numBlocks, k%b.numBlocks
+		plan, err := channel.Route(b.intraNets[j][blk])
+		if err != nil {
+			return fmt.Errorf("thompson: step %d block %d: %v", j, blk, err)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+		b.intraPlans[j][blk] = plan
+		return nil
+	})
 }
 
 // endpoint describes one block-side terminal of an inter-block link.
