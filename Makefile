@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanComposition -fuzztime=30s ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzAdaptiveConservation -fuzztime=30s ./internal/adaptive
 	$(GO) test -run='^$$' -fuzz=FuzzShardIdentity -fuzztime=30s ./internal/routing
+	$(GO) test -run='^$$' -fuzz=FuzzStreamTransparent -fuzztime=30s ./internal/detrng
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzRouteSpecRoundTrip -fuzztime=15s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzLayoutSpecRoundTrip -fuzztime=15s ./internal/wire

@@ -27,7 +27,6 @@ package reliable
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"bfvlsi/internal/detrng"
@@ -128,10 +127,9 @@ type Transport struct {
 	ready     []uint64         // timers fired, emission pending
 	accepted  map[uint64]struct{}
 	abandoned map[uint64]struct{}
-	// src counts the jitter draws so a checkpoint can record the RNG
-	// stream position (see internal/detrng); rng wraps it.
-	src *detrng.Source
-	rng *rand.Rand
+	// rng draws the jitter and counts its draws, so a checkpoint can
+	// record the stream position (see internal/detrng).
+	rng *detrng.Source
 
 	registered, acceptedN, abandonedN int
 	latencies                         []int
@@ -169,8 +167,7 @@ func (t *Transport) Reset(nodes int) {
 	t.ready = t.ready[:0]
 	t.accepted = make(map[uint64]struct{})
 	t.abandoned = make(map[uint64]struct{})
-	t.src = detrng.New(t.cfg.Seed)
-	t.rng = rand.New(t.src)
+	t.rng = detrng.New(t.cfg.Seed)
 	t.registered, t.acceptedN, t.abandonedN = 0, 0, 0
 	t.latencies = t.latencies[:0]
 }

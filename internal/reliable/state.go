@@ -2,7 +2,6 @@ package reliable
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"bfvlsi/internal/detrng"
@@ -62,7 +61,7 @@ func (t *Transport) State() *State {
 		Abandoned:   sortedIDs(t.abandoned),
 		Registered:  t.registered,
 		Latencies:   append([]int(nil), t.latencies...),
-		Draws:       t.src.Draws(),
+		Draws:       t.rng.Draws(),
 	}
 	ids := make([]uint64, 0, len(t.pending))
 	for id := range t.pending {
@@ -128,8 +127,7 @@ func (t *Transport) RestoreState(st *State) error {
 	t.acceptedN = len(st.Accepted)
 	t.abandonedN = len(st.Abandoned)
 	t.latencies = append(t.latencies[:0], st.Latencies...)
-	t.src = detrng.Restore(t.cfg.Seed, st.Draws)
-	t.rng = rand.New(t.src)
+	t.rng = detrng.Restore(t.cfg.Seed, st.Draws)
 	return nil
 }
 

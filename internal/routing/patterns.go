@@ -3,7 +3,8 @@ package routing
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
+
+	"bfvlsi/internal/detrng"
 )
 
 // Pattern selects the destination distribution of injected packets.
@@ -29,6 +30,10 @@ const (
 	Shuffle
 )
 
+// Valid reports whether p is one of the patterns above. NewSim and
+// RestoreSim reject any other.
+func (p Pattern) Valid() bool { return p >= Uniform && p <= Shuffle }
+
 func (p Pattern) String() string {
 	switch p {
 	case Uniform:
@@ -46,13 +51,14 @@ func (p Pattern) String() string {
 	}
 }
 
-// destFor returns the destination of a packet injected at (row, col).
-func destFor(p Pattern, n, rows, row, col int, rng *rand.Rand) (dr, dc int, err error) {
+// destFor returns the destination of a packet injected at (row, col)
+// under the valid pattern p.
+func destFor(p Pattern, n, rows, row, col int, rng *detrng.Source) (dr, dc int) {
 	switch p {
 	case Uniform:
-		return rng.Intn(rows), rng.Intn(n), nil
+		return rng.Intn(rows), rng.Intn(n)
 	case BitReverse:
-		return int(bits.Reverse64(uint64(row)) >> uint(64-n)), col, nil
+		return int(bits.Reverse64(uint64(row)) >> uint(64-n)), col
 	case Transpose:
 		h := n / 2
 		lo := row & ((1 << uint(h)) - 1)
@@ -62,15 +68,13 @@ func destFor(p Pattern, n, rows, row, col int, rng *rand.Rand) (dr, dc int, err 
 		if n%2 == 1 {
 			mid = (row >> uint(h)) & 1
 			hi = row >> uint(h+1)
-			return lo<<uint(h+1) | mid<<uint(h) | hi, col, nil
+			return lo<<uint(h+1) | mid<<uint(h) | hi, col
 		}
-		return lo<<uint(h) | hi, col, nil
+		return lo<<uint(h) | hi, col
 	case Complement:
-		return row ^ (rows - 1), col, nil
-	case Shuffle:
-		return ((row << 1) | (row >> uint(n-1))) & (rows - 1), col, nil
-	default:
-		return 0, 0, fmt.Errorf("routing: unknown pattern %v", p)
+		return row ^ (rows - 1), col
+	default: // Shuffle
+		return ((row << 1) | (row >> uint(n-1))) & (rows - 1), col
 	}
 }
 

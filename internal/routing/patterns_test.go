@@ -1,21 +1,19 @@
 package routing
 
 import (
-	"math/rand"
 	"testing"
+
+	"bfvlsi/internal/detrng"
 )
 
 func TestDestForPermutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := detrng.New(1)
 	n := 6
 	rows := 1 << uint(n)
 	for _, p := range []Pattern{BitReverse, Transpose, Complement, Shuffle} {
 		seen := make([]bool, rows)
 		for r := 0; r < rows; r++ {
-			dr, dc, err := destFor(p, n, rows, r, 3, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dr, dc := destFor(p, n, rows, r, 3, rng)
 			if dc != 3 {
 				t.Fatalf("%v: column changed to %d", p, dc)
 			}
@@ -28,13 +26,13 @@ func TestDestForPermutations(t *testing.T) {
 }
 
 func TestDestForInvolutions(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := detrng.New(2)
 	for _, n := range []int{4, 5, 6, 7} {
 		rows := 1 << uint(n)
 		for _, p := range []Pattern{BitReverse, Transpose, Complement} {
 			for r := 0; r < rows; r++ {
-				d1, _, _ := destFor(p, n, rows, r, 0, rng)
-				d2, _, _ := destFor(p, n, rows, d1, 0, rng)
+				d1, _ := destFor(p, n, rows, r, 0, rng)
+				d2, _ := destFor(p, n, rows, d1, 0, rng)
 				if d2 != r {
 					t.Fatalf("%v n=%d: not an involution at %d (%d -> %d)", p, n, r, d1, d2)
 				}
@@ -48,7 +46,7 @@ func TestDestForInvolutions(t *testing.T) {
 // itself, and applying it fewer times must not fix a row like 1 (a
 // single set bit keeps moving until it wraps).
 func TestShuffleHasOrderN(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := detrng.New(5)
 	for _, n := range []int{2, 3, 5, 8} {
 		rows := 1 << uint(n)
 		for r := 0; r < rows; r++ {
@@ -57,10 +55,7 @@ func TestShuffleHasOrderN(t *testing.T) {
 				if i > 0 && r == 1 && cur == r {
 					t.Fatalf("n=%d: shuffle fixed row 1 after only %d applications", n, i)
 				}
-				d, c, err := destFor(Shuffle, n, rows, cur, 2, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
+				d, c := destFor(Shuffle, n, rows, cur, 2, rng)
 				if c != 2 {
 					t.Fatalf("shuffle moved the column to %d", c)
 				}
@@ -166,5 +161,43 @@ func TestComplementHopsExactlyN(t *testing.T) {
 	}
 	if comp.AvgHops != float64(n) {
 		t.Errorf("complement hops %v, want exactly %d", comp.AvgHops, n)
+	}
+}
+
+// unknownPatterns lie just outside the valid range and far beyond it.
+var unknownPatterns = []Pattern{Shuffle + 1, -1, 99}
+
+// TestNewSimRejectsUnknownPattern checks that an unknown pattern fails
+// at construction, at λ=0 too, where no cycle would ever draw a
+// destination.
+func TestNewSimRejectsUnknownPattern(t *testing.T) {
+	for _, lambda := range []float64{0, 0.3} {
+		for _, pat := range unknownPatterns {
+			if _, err := NewSim(Params{N: 3, Lambda: lambda, Cycles: 10}, pat); err == nil {
+				t.Errorf("λ=%v: NewSim accepted %v", lambda, pat)
+			}
+		}
+	}
+}
+
+// TestRestoreSimRejectsUnknownPattern checks that a valid state does
+// not restore under an unknown pattern.
+func TestRestoreSimRejectsUnknownPattern(t *testing.T) {
+	p := Params{N: 3, Lambda: 0.3, Cycles: 10}
+	s, err := NewSim(p, Uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunTo(5); err != nil {
+		t.Fatal(err)
+	}
+	st := s.State()
+	if _, err := RestoreSim(p, Uniform, st); err != nil {
+		t.Fatalf("pristine state rejected: %v", err)
+	}
+	for _, pat := range unknownPatterns {
+		if _, err := RestoreSim(p, pat, st); err == nil {
+			t.Errorf("RestoreSim accepted %v", pat)
+		}
 	}
 }

@@ -9,12 +9,16 @@ import (
 // cut, the per-cycle phases and the merge order).
 
 // shard is one row block: rows [lo, hi) of every column, their queues'
-// slots, the moves landing in the block and the block's counters.
+// slots, the packets injected and the moves landing in the block, and
+// the block's counters.
 type shard struct {
 	id, lo, hi int
 	// qs shares the Sim's ring table; its slots hold this shard's
 	// queues only, so a push that grows a queue touches nothing shared.
 	qs queueSlab
+	// inj are this cycle's fresh packets entering at the shard's nodes,
+	// in row-major order: drawn serially, placed by move.
+	inj []injection
 	// arrivals are this cycle's moves that land in this shard, in
 	// traversal order; handoff[d] those that land in shard d.
 	arrivals []arrival
@@ -22,10 +26,18 @@ type shard struct {
 	t        tally
 }
 
+// injection is a packet drawn to enter the network at node src.
+type injection struct {
+	pk  packet
+	src int32
+}
+
 // tally is one shard's share of a cycle's counters: the Result counters
-// the parallel phases (and the placements of the serial ones) touch,
-// plus the latency and hop sums as integers, so they fold exactly.
+// the parallel phases and the top-column pass touch, plus the latency
+// and hop sums as integers, so they fold exactly.
+// refused counts the injections a full entry queue turned away.
 type tally struct {
+	refused                     int
 	dropped, gaveUp, duplicates int
 	misroutes, detours, stalls  int
 	delivered, totalDelivered   int
@@ -97,9 +109,11 @@ func (s *Sim) cut(k, slots int) {
 				off += slots
 			}
 		}
-		// A shard's links move at most one packet each a cycle, and a
-		// cross link of top column n-k+b lands in the shard across bit
-		// b: sized so, neither list ever grows.
+		// A shard's nodes inject at most one packet each a cycle, its
+		// links move at most one each, and a cross link of top column
+		// n-k+b lands in the shard across bit b: sized so, no list ever
+		// grows.
+		sh.inj = make([]injection, 0, s.n*size)
 		sh.arrivals = make([]arrival, 0, 2*s.n*size)
 		sh.handoff = make([][]arrival, count)
 		for b := 0; b < k; b++ {
@@ -158,10 +172,15 @@ func (s *Sim) runPhase(phase int, sh *shard, measured bool) {
 
 // fold adds every shard's tally to the run's counters, in shard order,
 // and clears it.
-func (s *Sim) fold() {
+func (s *Sim) fold(measured bool) {
 	res := s.res
 	for i := range s.shards {
 		t := &s.shards[i].t
+		res.TotalInjected -= t.refused
+		if measured {
+			res.Injected -= t.refused
+			res.InjectionDrops += t.refused
+		}
 		res.Dropped += t.dropped
 		res.GaveUp += t.gaveUp
 		res.DuplicatesDropped += t.duplicates

@@ -14,15 +14,15 @@ import (
 	"bfvlsi/internal/wire"
 )
 
-// shardRun runs p to completion on the given forced number of shards
-// and returns its %#v Result and trace bytes. It fails the test if the
-// run does not get that many shards.
-func shardRun(t testing.TB, p routing.Params, shards int) (string, []byte) {
+// shardRun runs p under pattern to completion on the given forced
+// number of shards and returns its Result and trace bytes. It fails the
+// test if the run does not get that many shards.
+func shardRun(t testing.TB, p routing.Params, pattern routing.Pattern, shards int) (routing.Result, []byte) {
 	t.Helper()
 	routing.ForceShards(t, shards)
 	var trace bytes.Buffer
 	p.Trace = &trace
-	s, err := routing.NewSim(p, routing.Uniform)
+	s, err := routing.NewSim(p, pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func shardRun(t testing.TB, p routing.Params, shards int) (string, []byte) {
 	if err := res.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%#v", *res), trace.Bytes()
+	return *res, trace.Bytes()
 }
 
 // scatterModules spreads the nodes over 13 modules by a multiplicative
@@ -74,10 +74,10 @@ func TestShardIdentity(t *testing.T) {
 					}
 					return p
 				}
-				res1, trace1 := shardRun(t, build(), 1)
-				res2, trace2 := shardRun(t, build(), 2)
+				res1, trace1 := shardRun(t, build(), routing.Uniform, 1)
+				res2, trace2 := shardRun(t, build(), routing.Uniform, 2)
 				if res1 != res2 {
-					t.Errorf("results differ:\n1 shard  %s\n2 shards %s", res1, res2)
+					t.Errorf("results differ:\n1 shard  %+v\n2 shards %+v", res1, res2)
 				}
 				if !bytes.Equal(trace1, trace2) {
 					t.Errorf("trace bytes differ between 1 and 2 shards")
@@ -88,6 +88,37 @@ func TestShardIdentity(t *testing.T) {
 }
 
 func errOnly(_ int, err error) error { return err }
+
+// TestShardIdentityInjectionDrops runs the first digest-matrix row that
+// may shard and whose full entry queues refuse injections on 2 and 4
+// forced shards. Each shard counts its refusals as it places its
+// injections, and the folded Result and the trace must be the one-shard
+// run's.
+func TestShardIdentityInjectionDrops(t *testing.T) {
+	for _, r := range engineRows(t) {
+		p, _ := r.build()
+		if p.Reliable != nil || p.Adaptive != nil {
+			continue
+		}
+		res1, trace1 := shardRun(t, p, r.pattern, 1)
+		if res1.InjectionDrops == 0 {
+			continue
+		}
+		t.Logf("%s: %d injections refused", r.name, res1.InjectionDrops)
+		for _, shards := range []int{2, 4} {
+			p, _ := r.build()
+			res, trace := shardRun(t, p, r.pattern, shards)
+			if res != res1 {
+				t.Errorf("%s: %d shards give %+v, one shard %+v", r.name, shards, res, res1)
+			}
+			if !bytes.Equal(trace, trace1) {
+				t.Errorf("%s: trace bytes differ between 1 and %d shards", r.name, shards)
+			}
+		}
+		return
+	}
+	t.Fatal("no shardable digest-matrix row refuses an injection")
+}
 
 // TestShardCheckpointCrossRestore takes a checkpoint mid-run on one
 // shard count, round-trips it through its wire frame, restores it on
@@ -219,13 +250,14 @@ func TestShardWorkersJoined(t *testing.T) {
 
 // FuzzShardIdentity requires every forced shard count to reproduce the
 // serial engine's Result and trace bytes over random sizes, loads,
-// buffer limits, TTLs and fault plans.
+// traffic patterns, buffer limits, TTLs and fault plans.
 func FuzzShardIdentity(f *testing.F) {
-	f.Add(uint8(3), uint16(200), int64(1), uint8(0), uint8(0), uint8(0), int64(0), uint8(0))
-	f.Add(uint8(4), uint16(300), int64(7), uint8(2), uint8(12), uint8(5), int64(3), uint8(1))
-	f.Add(uint8(0), uint16(900), int64(2), uint8(1), uint8(4), uint8(20), int64(9), uint8(2))
-	f.Add(uint8(6), uint16(100), int64(5), uint8(4), uint8(0), uint8(2), int64(1), uint8(1))
-	f.Fuzz(func(t *testing.T, nRaw uint8, lamRaw uint16, seed int64, bufRaw, ttlRaw, faultPct uint8, faultSeed int64, bitsRaw uint8) {
+	f.Add(uint8(3), uint16(200), int64(1), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0))
+	f.Add(uint8(4), uint16(300), int64(7), uint8(2), uint8(12), uint8(5), int64(3), uint8(1), uint8(1))
+	f.Add(uint8(0), uint16(900), int64(2), uint8(1), uint8(4), uint8(20), int64(9), uint8(2), uint8(2))
+	f.Add(uint8(6), uint16(100), int64(5), uint8(4), uint8(0), uint8(2), int64(1), uint8(1), uint8(3))
+	f.Add(uint8(5), uint16(700), int64(3), uint8(1), uint8(0), uint8(0), int64(0), uint8(1), uint8(4))
+	f.Fuzz(func(t *testing.T, nRaw uint8, lamRaw uint16, seed int64, bufRaw, ttlRaw, faultPct uint8, faultSeed int64, bitsRaw, patRaw uint8) {
 		n := 1 + int(nRaw%7) // 1..7
 		build := func() routing.Params {
 			p := routing.Params{
@@ -242,10 +274,11 @@ func FuzzShardIdentity(f *testing.F) {
 			return p
 		}
 		shards := min(2<<(bitsRaw%3), 1<<n) // 2, 4 or 8, at most one row each
-		res1, trace1 := shardRun(t, build(), 1)
-		resK, traceK := shardRun(t, build(), shards)
+		pattern := routing.Pattern(patRaw % 5)
+		res1, trace1 := shardRun(t, build(), pattern, 1)
+		resK, traceK := shardRun(t, build(), pattern, shards)
 		if res1 != resK {
-			t.Fatalf("results differ:\n1 shard   %s\n%d shards %s", res1, shards, resK)
+			t.Fatalf("%v: results differ:\n1 shard   %+v\n%d shards %+v", pattern, res1, shards, resK)
 		}
 		if !bytes.Equal(trace1, traceK) {
 			t.Fatalf("trace bytes differ between 1 and %d shards", shards)
@@ -288,9 +321,9 @@ func (w *budgetWriter) Write(b []byte) (int, error) {
 func TestShardBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p := routing.Params{N: 9, Lambda: 0.1, Warmup: 2, Cycles: 12, Seed: 3}
-	var want string
+	var want routing.Result
 	var wantTrace []byte
-	t.Run("serial", func(t *testing.T) { want, wantTrace = shardRun(t, p, 1) })
+	t.Run("serial", func(t *testing.T) { want, wantTrace = shardRun(t, p, routing.Uniform, 1) })
 	w := &budgetWriter{from: 4, to: 8}
 	p.Trace = w
 	s, err := routing.NewSim(p, routing.Uniform)
@@ -306,8 +339,8 @@ func TestShardBudget(t *testing.T) {
 			t.Errorf("trace line %d: worker engaged %v with a processor held %v", line, engaged, held)
 		}
 	}
-	if got := fmt.Sprintf("%#v", *res); got != want {
-		t.Errorf("Result differs from the serial run:\n got %s\nwant %s", got, want)
+	if *res != want {
+		t.Errorf("Result differs from the serial run:\n got %+v\nwant %+v", *res, want)
 	}
 	if !bytes.Equal(w.Bytes(), wantTrace) {
 		t.Error("trace differs from the serial run")

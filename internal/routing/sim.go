@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bfvlsi/internal/detrng"
 )
@@ -53,11 +52,17 @@ import (
 // links of the top k columns, k/(2n) of all links, leave a shard. Every
 // cycle then runs:
 //
-//   - inject (and retransmit, re-plan) serially: there is one RNG stream;
-//   - a parallel region: each shard expires its dead heads, sets its
-//     queues' credits and moves its links in row-major order - all of
-//     them with unbounded FIFOs, only columns below n-k with finite
-//     buffers;
+//   - the draw pass, serially: there is one random stream, consumed in
+//     row-major order (a Float64 per live node, the destination, the
+//     transport's Register). It places nothing; each packet that enters
+//     goes onto its shard's injection list;
+//   - a parallel region: each shard places its injections on their
+//     entry queues, counting the ones a full queue refuses, expires its
+//     dead heads, sets its queues' credits and moves its links in
+//     row-major order - all of them with unbounded FIFOs, only columns
+//     below n-k with finite buffers. A run with a transport or a router
+//     has one shard, and its retransmissions and re-plan run here too,
+//     in the serial engine's order;
 //   - with finite buffers, a serial pass moving the top-k-column links of
 //     every row in row-major order. Those links, and only they, race for
 //     credits across a shard boundary (the two links into a node of
@@ -113,8 +118,7 @@ type Sim struct {
 	total          int
 	cycle          int
 
-	src *detrng.Source
-	rng *rand.Rand
+	rng *detrng.Source
 
 	// rings holds the bookkeeping of queue (node*2+out)*vcs + vc for
 	// every output and VC: vcs is 1 with unbounded FIFOs and numVC with
@@ -191,6 +195,9 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 	if p.Warmup < 0 {
 		return nil, fmt.Errorf("routing: negative warmup %d", p.Warmup)
 	}
+	if !pattern.Valid() {
+		return nil, fmt.Errorf("routing: unknown traffic pattern %v", pattern)
+	}
 	// A packet's birth cycle and hop count are int32.
 	if p.Cycles > math.MaxInt32-p.Warmup {
 		return nil, fmt.Errorf("routing: warmup %d + cycles %d exceeds %d", p.Warmup, p.Cycles, math.MaxInt32)
@@ -209,11 +216,10 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 		p: p, pattern: pattern,
 		n: n, rows: rows, nodes: nodes,
 		total: p.Warmup + p.Cycles,
-		src:   detrng.New(p.Seed),
+		rng:   detrng.New(p.Seed),
 		res:   &Result{Nodes: nodes},
 		vcs:   1,
 	}
-	s.rng = rand.New(s.src)
 	// Queues start at unboundedSlots and double when full; see the
 	// constant for the choice. Credit backpressure bounds every finite
 	// VC queue at BufferLimit slots, so carving exactly that much means
@@ -240,7 +246,7 @@ func (s *Sim) Total() int { return s.total }
 func (s *Sim) Done() bool { return s.cycle >= s.total }
 
 // Step simulates one cycle. It returns an error only for trace write
-// failures, pattern errors, or stepping past the end of the run.
+// failures or stepping past the end of the run.
 func (s *Sim) Step() error {
 	if s.Done() {
 		return fmt.Errorf("routing: step past the end of the %d-cycle run", s.total)
@@ -274,7 +280,9 @@ func (s *Sim) RunTo(cycle int) error {
 	return nil
 }
 
-// step simulates one cycle.
+// step simulates one cycle. Every packet placement happens in the
+// parallel phases; what stays serial is the hooks' cycle start, the
+// random stream, the top-column credit race and the fold.
 func (s *Sim) step() error {
 	p := &s.p
 	measured := s.cycle >= p.Warmup
@@ -288,25 +296,7 @@ func (s *Sim) step() error {
 		p.Adaptive.BeginCycle(s.cycle)
 		runProbes(p.Adaptive, p.Faults)
 	}
-	if err := s.inject(measured); err != nil {
-		return err
-	}
-	if p.Reliable != nil {
-		s.retransmit()
-	}
-	if p.Adaptive != nil {
-		// Finite buffers discard dead heads before the re-plan so that
-		// it, and the credits computed after it, see the freed slots.
-		// Unbounded FIFOs discard them after the re-plan, just before
-		// the links move. Without a router the move phase expires.
-		if s.room != nil {
-			s.expire(&s.shards[0])
-		}
-		s.replan()
-		if s.room == nil {
-			s.expire(&s.shards[0])
-		}
-	}
+	s.draw(measured)
 	s.parallel(phaseMove, measured)
 	if s.room != nil && s.k > 0 {
 		// The top-k-column links race for credits across shard
@@ -316,7 +306,7 @@ func (s *Sim) step() error {
 		}
 	}
 	s.parallel(phaseDrain, measured)
-	s.fold()
+	s.fold(measured)
 	if p.Trace != nil && measured {
 		if _, err := fmt.Fprintf(p.Trace, "%d,%d,%d,%d\n",
 			s.cycle-p.Warmup, s.res.Injected, s.res.Delivered, s.backlog()); err != nil {
@@ -327,61 +317,60 @@ func (s *Sim) step() error {
 	return nil
 }
 
-// inject draws this cycle's fresh traffic: every live node, in row-major
-// order, injects with probability Lambda onto VC 0 of its chosen output.
-func (s *Sim) inject(measured bool) error {
-	p, res, n, rows := &s.p, s.res, s.n, s.rows
-	for row := 0; row < rows; row++ {
-		for col := 0; col < n; col++ {
-			src := col*rows + row
-			if p.Faults != nil && p.Faults.NodeDown(src) {
-				continue // dead nodes do not inject
-			}
-			if s.rng.Float64() >= p.Lambda {
-				continue
-			}
-			dr, dc, err := destFor(s.pattern, n, rows, row, col, s.rng)
-			if err != nil {
-				return err
-			}
-			dst := dc*rows + dr
-			res.TotalInjected++
-			if measured {
-				res.Injected++
-			}
-			if dst == src {
-				// Delivered in place: no copy enters the network, so no
-				// duplicate can ever exist and the payload needs no
-				// reliable-transport state.
-				res.TotalDelivered++
-				if measured {
-					res.Delivered++
+// draw consumes this cycle's share of the random stream: every live
+// node, in row-major order, injects with probability Lambda. A packet
+// that enters the network joins its shard's injection list, for move to
+// place on VC 0 of its chosen output.
+func (s *Sim) draw(measured bool) {
+	p, res, n, rows, rng := &s.p, s.res, s.n, s.rows, s.rng
+	for i := range s.shards {
+		sh := &s.shards[i]
+		inj := sh.inj[:0]
+		for row := sh.lo; row < sh.hi; row++ {
+			for col := 0; col < n; col++ {
+				src := col*rows + row
+				if p.Faults != nil && p.Faults.NodeDown(src) {
+					continue // dead nodes do not inject
 				}
-				continue
-			}
-			pk := packet{dstRow: int32(dr), dstCol: int8(dc), born: int32(s.cycle), blocked: -1}
-			refused, learned := s.refuse(dst)
-			if p.Reliable != nil && !learned {
-				// Registered before the reachability and buffer checks,
-				// unless the source's own link-state map refused the
-				// destination (no transport state, no retries to burn).
-				// The source cannot know about a dead or cut-off
-				// destination, so those retries burn budget against the
-				// void until abandoned; an injection refused at a full
-				// entry queue stays pending for the timer to recover.
-				pk.rid = p.Reliable.Register(s.cycle, src, dst)
-			}
-			if !refused && s.offer(pk, src) {
-				// Refused at a full entry queue: never entered at all.
-				res.TotalInjected--
+				if rng.Float64() >= p.Lambda {
+					continue
+				}
+				dr, dc := destFor(s.pattern, n, rows, row, col, rng)
+				dst := dc*rows + dr
+				res.TotalInjected++
 				if measured {
-					res.Injected--
-					res.InjectionDrops++
+					res.Injected++
+				}
+				if dst == src {
+					// Delivered in place: no copy enters the network, so
+					// no duplicate can ever exist and the payload needs
+					// no reliable-transport state.
+					res.TotalDelivered++
+					if measured {
+						res.Delivered++
+					}
+					continue
+				}
+				pk := packet{dstRow: int32(dr), dstCol: int8(dc), born: int32(s.cycle), blocked: -1}
+				refused, learned := s.refuse(dst)
+				if p.Reliable != nil && !learned {
+					// Registered before the reachability and buffer
+					// checks, unless the source's own link-state map
+					// refused the destination (no transport state, no
+					// retries to burn). The source cannot know about a
+					// dead or cut-off destination, so those retries burn
+					// budget against the void until abandoned; an
+					// injection refused at a full entry queue stays
+					// pending for the timer to recover.
+					pk.rid = p.Reliable.Register(s.cycle, src, dst)
+				}
+				if !refused {
+					inj = append(inj, injection{pk: pk, src: int32(src)})
 				}
 			}
 		}
+		sh.inj = inj
 	}
-	return nil
 }
 
 // retransmit re-injects the copies whose transport timers fired at their
@@ -521,16 +510,35 @@ func (s *Sim) replan() {
 	}
 }
 
-// move is shard sh's first parallel phase: it expires dead heads (unless
-// the re-plan already did), sets the credits of its queues and moves its
-// links, all columns with unbounded FIFOs and the low n-k with finite
-// buffers, in row-major order.
+// move is shard sh's first parallel phase. It places the shard's fresh
+// injections - counting those a full entry queue refuses - and, in a
+// run with the hooks (one shard), the transport's retransmissions, then
+// expires dead heads around the adaptive router's re-plan: finite
+// buffers discard them before it, so that it and the credits see the
+// freed slots, unbounded FIFOs after it, just before the links move.
+// Last it sets the credits of its queues and moves its links, all
+// columns with unbounded FIFOs and the low n-k with finite buffers, in
+// row-major order.
 func (s *Sim) move(sh *shard, measured bool) {
 	sh.arrivals = sh.arrivals[:0]
 	for d := range sh.handoff {
 		sh.handoff[d] = sh.handoff[d][:0]
 	}
-	if s.p.Adaptive == nil {
+	for i := range sh.inj {
+		if s.offer(sh.inj[i].pk, int(sh.inj[i].src)) {
+			sh.t.refused++ // never entered at all
+		}
+	}
+	if s.p.Reliable != nil {
+		s.retransmit()
+	}
+	if s.room != nil {
+		s.expire(sh)
+	}
+	if s.p.Adaptive != nil {
+		s.replan()
+	}
+	if s.room == nil {
 		s.expire(sh)
 	}
 	cols := s.n

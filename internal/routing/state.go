@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bfvlsi/internal/detrng"
 )
@@ -58,7 +57,7 @@ type SimState struct {
 func (s *Sim) State() *SimState {
 	st := &SimState{
 		Cycle:     s.cycle,
-		Draws:     s.src.Draws(),
+		Draws:     s.rng.Draws(),
 		Counters:  *s.res,
 		LatSum:    s.latSum,
 		HopSum:    s.hopSum,
@@ -119,8 +118,7 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 		})
 	}
 	s.cycle = st.Cycle
-	s.src = detrng.Restore(p.Seed, st.Draws)
-	s.rng = rand.New(s.src)
+	s.rng = detrng.Restore(p.Seed, st.Draws)
 	counters := st.Counters
 	s.res = &counters
 	s.latSum, s.hopSum = st.LatSum, st.HopSum

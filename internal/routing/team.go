@@ -52,7 +52,7 @@ type team struct {
 var busy atomic.Int32
 
 // spinLimit is how many rounds a wait spins before it parks, about
-// 0.4 ms on the 2-core VM: longer than inject at n=10 (about 0.2 ms),
+// 0.4 ms on the 2-core VM: longer than the draw pass at n=10 (about 0.2 ms),
 // the longest serial phase of a cycle. Every yieldEvery-th round yields
 // the processor, so a wait cannot starve the goroutine it waits for when
 // GOMAXPROCS is 1.

@@ -56,9 +56,7 @@ func (s *RouteSpec) Validate() error {
 	if s.TTL < 0 || s.TTL > MaxRouteCycles {
 		return fmt.Errorf("wire: ttl %d out of [0,%d]", s.TTL, MaxRouteCycles)
 	}
-	// Keep this bound on the last Pattern value in sync with
-	// internal/routing/patterns.go when patterns are added.
-	if s.Pattern < routing.Uniform || s.Pattern > routing.Shuffle {
+	if !s.Pattern.Valid() {
 		return fmt.Errorf("wire: unknown traffic pattern %d", int(s.Pattern))
 	}
 	if s.Policy != routing.Misroute && s.Policy != routing.DropDead {
