@@ -18,6 +18,17 @@
 // Destinations remember every accepted payload and suppress duplicate
 // copies, so delivered goodput counts each payload exactly once.
 //
+// Payload state lives in a flow-indexed table, not in maps. A payload
+// id packs its flow and sequence number, so payload (src, seq) is the
+// seq-th slot of flow src's slice: registering appends to that slice,
+// and every lookup the simulator makes (Arrive at a destination,
+// Abandoned at every queue head on every cycle, the retransmission
+// calls) is a bounds-checked index. A resolved payload keeps its slot
+// with an accepted or abandoned mark, and walking the flows in order
+// yields every id set ascending, so a checkpoint sorts none. Only the
+// timers stay a map, keyed by fire cycle: the retry budget is
+// unbounded, so the backoff has no horizon a fixed wheel could cover.
+//
 // A Transport implements routing.Transport. All state is a pure function
 // of the configuration seed and the simulator's (deterministic) call
 // sequence: same seed, same run. Reusing a transport for a second run
@@ -101,11 +112,25 @@ func (c Config) RTO(attempts int) int {
 	return d
 }
 
-// entry is one pending payload in a source's retransmission queue.
-type entry struct {
-	src, dst int
-	born     int // first-injection cycle
-	attempts int // copies emitted so far (1 = original)
+// Payload states of a slot.
+const (
+	// free marks a slot checkState has not filled yet; a live table has
+	// none.
+	free uint8 = iota
+	pending
+	accepted
+	abandoned
+)
+
+// slot is one registered payload: where it goes, when it was first
+// injected and how many copies have been emitted (1 = the original).
+// Accepted and abandoned payloads keep their slot with only the state
+// read again. int32 holds any of these: dst < n*2^n <= 14*2^14, and the
+// simulator caps a run's cycles at 2^31-1, so no payload is older or
+// emitted more often than that.
+type slot struct {
+	dst, born, attempts int32
+	state               uint8
 }
 
 // Transport is the end-to-end reliable transport. Attach one via
@@ -120,13 +145,12 @@ type Transport struct {
 	// everything).
 	MeasureFrom int
 
-	nodes     int
-	nextSeq   []uint64
-	pending   map[uint64]*entry
-	timers    map[int][]uint64 // fire cycle -> payload ids, arming order
-	ready     []uint64         // timers fired, emission pending
-	accepted  map[uint64]struct{}
-	abandoned map[uint64]struct{}
+	// flows[src][seq] is payload payloadID(src, seq), one flow per node,
+	// so len(flows[src]) is flow src's next sequence number.
+	flows  [][]slot
+	timers map[int][]uint64         // fire cycle -> payload ids, arming order
+	ready  []uint64                 // timers fired, emission pending
+	retx   []routing.RetransmitCopy // Retransmissions' reused result
 	// rng draws the jitter and counts its draws, so a checkpoint can
 	// record the stream position (see internal/detrng).
 	rng *detrng.Source
@@ -160,22 +184,38 @@ func (t *Transport) Config() Config { return t.cfg }
 // Reset implements routing.Transport: it clears all per-run state and
 // re-seeds the jitter source, so a reused transport replays identically.
 func (t *Transport) Reset(nodes int) {
-	t.nodes = nodes
-	t.nextSeq = make([]uint64, nodes)
-	t.pending = make(map[uint64]*entry)
+	t.flows = make([][]slot, nodes)
 	t.timers = make(map[int][]uint64)
 	t.ready = t.ready[:0]
-	t.accepted = make(map[uint64]struct{})
-	t.abandoned = make(map[uint64]struct{})
 	t.rng = detrng.New(t.cfg.Seed)
 	t.registered, t.acceptedN, t.abandonedN = 0, 0, 0
 	t.latencies = t.latencies[:0]
 }
 
+// seqBits is the width of a payload id's sequence field.
+const seqBits = 36
+
 // id packs (src, seq) into a nonzero payload id: src < n*2^n <= 14*2^14 <
 // 2^18 and seq is bounded by injections per flow, far below 2^36.
 func payloadID(src int, seq uint64) uint64 {
-	return uint64(src)<<36 | (seq + 1)
+	return uint64(src)<<seqBits | (seq + 1)
+}
+
+// lookup returns payload id's slot, or nil for an id never registered.
+func (t *Transport) lookup(id uint64) *slot {
+	src, seq := id>>seqBits, id&(1<<seqBits-1)
+	if src >= uint64(len(t.flows)) || seq == 0 || seq > uint64(len(t.flows[src])) {
+		return nil
+	}
+	return &t.flows[src][seq-1]
+}
+
+// pendingSlot returns id's slot if the payload is still pending.
+func (t *Transport) pendingSlot(id uint64) *slot {
+	if e := t.lookup(id); e != nil && e.state == pending {
+		return e
+	}
+	return nil
 }
 
 // BeginCycle implements routing.Transport: timers due this cycle either
@@ -187,13 +227,12 @@ func (t *Transport) BeginCycle(cycle int) {
 	}
 	delete(t.timers, cycle)
 	for _, id := range due {
-		e, ok := t.pending[id]
-		if !ok {
+		e := t.pendingSlot(id)
+		if e == nil {
 			continue // accepted since arming; stale timer
 		}
-		if e.attempts > t.cfg.MaxRetries {
-			delete(t.pending, id)
-			t.abandoned[id] = struct{}{}
+		if int(e.attempts) > t.cfg.MaxRetries {
+			e.state = abandoned
 			t.abandonedN++
 			continue
 		}
@@ -213,78 +252,80 @@ func (t *Transport) arm(id uint64, cycle, attempts int) {
 
 // Register implements routing.Transport.
 func (t *Transport) Register(cycle, src, dst int) uint64 {
-	seq := t.nextSeq[src]
-	t.nextSeq[src]++
-	id := payloadID(src, seq)
-	t.pending[id] = &entry{src: src, dst: dst, born: cycle, attempts: 1}
+	id := payloadID(src, uint64(len(t.flows[src])))
+	t.flows[src] = append(t.flows[src], slot{dst: int32(dst), born: int32(cycle), attempts: 1, state: pending})
 	t.registered++
 	t.arm(id, cycle, 1)
 	return id
 }
 
-// Retransmissions implements routing.Transport.
+// Retransmissions implements routing.Transport. The slice is reused:
+// it is valid until the next call.
 func (t *Transport) Retransmissions(cycle int) []routing.RetransmitCopy {
 	if len(t.ready) == 0 {
 		return nil
 	}
-	out := make([]routing.RetransmitCopy, 0, len(t.ready))
+	out := t.retx[:0]
 	for _, id := range t.ready {
-		e, ok := t.pending[id]
-		if !ok {
+		e := t.pendingSlot(id)
+		if e == nil {
 			continue // accepted while waiting for emission
 		}
-		out = append(out, routing.RetransmitCopy{ID: id, Src: e.src, Dst: e.dst})
+		out = append(out, routing.RetransmitCopy{ID: id, Src: int(id >> seqBits), Dst: int(e.dst)})
 	}
 	t.ready = t.ready[:0]
+	t.retx = out
 	return out
 }
 
 // Emitted implements routing.Transport.
 func (t *Transport) Emitted(id uint64, cycle int) {
-	e, ok := t.pending[id]
-	if !ok {
+	e := t.pendingSlot(id)
+	if e == nil {
 		return
 	}
 	e.attempts++
-	t.arm(id, cycle, e.attempts)
+	t.arm(id, cycle, int(e.attempts))
 }
 
 // Deferred implements routing.Transport: the copy is re-offered next
 // cycle without consuming a retry.
 func (t *Transport) Deferred(id uint64) {
-	if _, ok := t.pending[id]; ok {
+	if t.pendingSlot(id) != nil {
 		t.ready = append(t.ready, id)
 	}
 }
 
 // Arrive implements routing.Transport.
 func (t *Transport) Arrive(cycle int, id uint64) (routing.DeliveryVerdict, int) {
-	if _, ok := t.accepted[id]; ok {
+	e := t.lookup(id)
+	switch {
+	case e == nil || e.state == accepted:
+		// An unknown id is only reachable if the simulator hands back an
+		// id it never registered; treat it as a duplicate so nothing is
+		// counted delivered twice.
 		return routing.DeliverDuplicate, 0
-	}
-	if _, ok := t.abandoned[id]; ok {
+	case e.state == abandoned:
 		return routing.DeliverGaveUp, 0
 	}
-	e, ok := t.pending[id]
-	if !ok {
-		// Unknown id: only reachable if the simulator hands back an id it
-		// never registered; treat as a duplicate so nothing is counted
-		// delivered twice.
-		return routing.DeliverDuplicate, 0
-	}
-	delete(t.pending, id)
-	t.accepted[id] = struct{}{}
+	e.state = accepted
 	t.acceptedN++
-	if e.born >= t.MeasureFrom {
-		t.latencies = append(t.latencies, cycle-e.born+1)
+	born := int(e.born)
+	if born >= t.MeasureFrom {
+		t.latencies = append(t.latencies, cycle-born+1)
 	}
-	return routing.DeliverAccept, e.born
+	return routing.DeliverAccept, born
 }
 
-// Abandoned implements routing.Transport.
+// Abandoned implements routing.Transport. The simulator asks at every
+// queue head on every cycle, and most runs abandon nothing, so it
+// answers from the counter before touching the table.
 func (t *Transport) Abandoned(id uint64) bool {
-	_, ok := t.abandoned[id]
-	return ok
+	if t.abandonedN == 0 {
+		return false
+	}
+	e := t.lookup(id)
+	return e != nil && e.state == abandoned
 }
 
 // Stats summarizes the transport's payload-level view of a finished run.
@@ -314,7 +355,7 @@ func (t *Transport) Stats() Stats {
 		Registered:     t.registered,
 		Accepted:       t.acceptedN,
 		Abandoned:      t.abandonedN,
-		Pending:        len(t.pending),
+		Pending:        t.registered - t.acceptedN - t.abandonedN,
 		LatencySamples: len(t.latencies),
 	}
 	sum := 0

@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"bfvlsi/internal/detrng"
@@ -50,28 +51,35 @@ type State struct {
 }
 
 // State exports the transport's complete state. The result shares no
-// memory with the transport.
+// memory with the transport. Walking the flows in (src, seq) order
+// visits the payload ids in ascending order, so the id lists come out
+// canonical without a sort.
 func (t *Transport) State() *State {
 	st := &State{
-		Nodes:       t.nodes,
+		Nodes:       len(t.flows),
 		MeasureFrom: t.MeasureFrom,
-		NextSeq:     append([]uint64(nil), t.nextSeq...),
+		NextSeq:     make([]uint64, len(t.flows)),
+		Pending:     make([]PendingState, 0, t.registered-t.acceptedN-t.abandonedN),
 		Ready:       append([]uint64(nil), t.ready...),
-		Accepted:    sortedIDs(t.accepted),
-		Abandoned:   sortedIDs(t.abandoned),
+		Accepted:    make([]uint64, 0, t.acceptedN),
+		Abandoned:   make([]uint64, 0, t.abandonedN),
 		Registered:  t.registered,
 		Latencies:   append([]int(nil), t.latencies...),
 		Draws:       t.rng.Draws(),
 	}
-	ids := make([]uint64, 0, len(t.pending))
-	for id := range t.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	st.Pending = make([]PendingState, len(ids))
-	for i, id := range ids {
-		e := t.pending[id]
-		st.Pending[i] = PendingState{ID: id, Src: e.src, Dst: e.dst, Born: e.born, Attempts: e.attempts}
+	for src, flow := range t.flows {
+		st.NextSeq[src] = uint64(len(flow))
+		for seq := range flow {
+			e, id := &flow[seq], payloadID(src, uint64(seq))
+			switch e.state {
+			case pending:
+				st.Pending = append(st.Pending, PendingState{ID: id, Src: src, Dst: int(e.dst), Born: int(e.born), Attempts: int(e.attempts)})
+			case accepted:
+				st.Accepted = append(st.Accepted, id)
+			case abandoned:
+				st.Abandoned = append(st.Abandoned, id)
+			}
+		}
 	}
 	fires := make([]int, 0, len(t.timers))
 	for fire := range t.timers {
@@ -85,44 +93,22 @@ func (t *Transport) State() *State {
 	return st
 }
 
-// sortedIDs returns a set's members in ascending order.
-func sortedIDs(set map[uint64]struct{}) []uint64 {
-	ids := make([]uint64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // RestoreState overwrites the transport's per-run state with st,
 // validating it first: a corrupt state cannot silently restore. The
 // transport's Config must be the one the state was captured under for
 // the continuation to be exact.
 func (t *Transport) RestoreState(st *State) error {
-	if err := t.checkState(st); err != nil {
+	flows, err := checkState(st)
+	if err != nil {
 		return err
 	}
-	t.nodes = st.Nodes
 	t.MeasureFrom = st.MeasureFrom
-	t.nextSeq = append([]uint64(nil), st.NextSeq...)
-	t.pending = make(map[uint64]*entry, len(st.Pending))
-	for _, p := range st.Pending {
-		t.pending[p.ID] = &entry{src: p.Src, dst: p.Dst, born: p.Born, attempts: p.Attempts}
-	}
+	t.flows = flows
 	t.timers = make(map[int][]uint64, len(st.Timers))
 	for _, tm := range st.Timers {
 		t.timers[tm.Fire] = append([]uint64(nil), tm.IDs...)
 	}
 	t.ready = append(t.ready[:0], st.Ready...)
-	t.accepted = make(map[uint64]struct{}, len(st.Accepted))
-	for _, id := range st.Accepted {
-		t.accepted[id] = struct{}{}
-	}
-	t.abandoned = make(map[uint64]struct{}, len(st.Abandoned))
-	for _, id := range st.Abandoned {
-		t.abandoned[id] = struct{}{}
-	}
 	t.registered = st.Registered
 	t.acceptedN = len(st.Accepted)
 	t.abandonedN = len(st.Abandoned)
@@ -131,68 +117,103 @@ func (t *Transport) RestoreState(st *State) error {
 	return nil
 }
 
-// checkState validates a state's internal consistency: id packing,
+// stateNames names the slot states in restore errors.
+var stateNames = [...]string{free: "free", pending: "pending", accepted: "accepted", abandoned: "abandoned"}
+
+// checkState validates a state's internal consistency - id packing,
 // canonical ordering, set disjointness, and the payload conservation
-// identity Registered = Pending + Accepted + Abandoned.
-func (t *Transport) checkState(st *State) error {
+// identity Registered = Pending + Accepted + Abandoned - and builds the
+// payload table it describes. The table is sized by NextSeq, so every
+// flow is bounded by the registered count, itself bounded by the ids
+// the state lists, before anything is summed or allocated. Distinct
+// ids that each pack into the table and number Registered in all fill
+// every slot.
+func checkState(st *State) ([][]slot, error) {
 	if st.Nodes < 0 {
-		return fmt.Errorf("reliable: restore with %d nodes", st.Nodes)
+		return nil, fmt.Errorf("reliable: restore with %d nodes", st.Nodes)
 	}
 	if len(st.NextSeq) != st.Nodes {
-		return fmt.Errorf("reliable: restore NextSeq has %d flows, want %d", len(st.NextSeq), st.Nodes)
-	}
-	var sum uint64
-	for _, s := range st.NextSeq {
-		sum += s
-	}
-	if sum != uint64(st.Registered) {
-		return fmt.Errorf("reliable: restore Registered %d != sum of flow sequences %d", st.Registered, sum)
+		return nil, fmt.Errorf("reliable: restore NextSeq has %d flows, want %d", len(st.NextSeq), st.Nodes)
 	}
 	if st.Registered != len(st.Pending)+len(st.Accepted)+len(st.Abandoned) {
-		return fmt.Errorf("reliable: restore payload conservation violated: %d registered != %d pending + %d accepted + %d abandoned",
+		return nil, fmt.Errorf("reliable: restore payload conservation violated: %d registered != %d pending + %d accepted + %d abandoned",
 			st.Registered, len(st.Pending), len(st.Accepted), len(st.Abandoned))
 	}
 	if len(st.Latencies) > len(st.Accepted) {
-		return fmt.Errorf("reliable: restore has %d latency samples for %d accepted payloads", len(st.Latencies), len(st.Accepted))
+		return nil, fmt.Errorf("reliable: restore has %d latency samples for %d accepted payloads", len(st.Latencies), len(st.Accepted))
 	}
-	resolved := make(map[uint64]bool, len(st.Accepted)+len(st.Abandoned))
-	for _, ids := range [][]uint64{st.Accepted, st.Abandoned} {
-		for i, id := range ids {
-			if i > 0 && ids[i-1] >= id {
-				return fmt.Errorf("reliable: restore id set not strictly ascending at %d", id)
-			}
-			if resolved[id] {
-				return fmt.Errorf("reliable: restore id %d both accepted and abandoned", id)
-			}
-			resolved[id] = true
+	left := uint64(st.Registered)
+	for src, s := range st.NextSeq {
+		if s > left {
+			return nil, fmt.Errorf("reliable: restore flow %d sequence %d exceeds the %d registered payloads left after the flows before it", src, s, left)
 		}
+		left -= s
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("reliable: restore Registered %d != sum of flow sequences %d", st.Registered, uint64(st.Registered)-left)
+	}
+	table := make([]slot, st.Registered)
+	flows := make([][]slot, st.Nodes)
+	off := 0
+	for src, s := range st.NextSeq {
+		flows[src] = table[off : off+int(s) : off+int(s)]
+		off += int(s)
+	}
+	// claim marks id's slot with state, rejecting an id that packs into
+	// no slot or whose slot another list already claimed.
+	claim := func(id uint64, state uint8) (*slot, error) {
+		src, seq := id>>seqBits, id&(1<<seqBits-1)
+		if src >= uint64(st.Nodes) || seq == 0 || seq > st.NextSeq[src] {
+			return nil, fmt.Errorf("reliable: restore %s id %d does not pack into (src < %d, 1 <= seq <= its flow's NextSeq)", stateNames[state], id, st.Nodes)
+		}
+		e := &flows[src][seq-1]
+		if e.state != free {
+			return nil, fmt.Errorf("reliable: restore id %d both %s and %s", id, stateNames[e.state], stateNames[state])
+		}
+		e.state = state
+		return e, nil
 	}
 	for i := range st.Pending {
 		p := &st.Pending[i]
 		if i > 0 && st.Pending[i-1].ID >= p.ID {
-			return fmt.Errorf("reliable: restore pending not strictly ascending at id %d", p.ID)
-		}
-		if resolved[p.ID] {
-			return fmt.Errorf("reliable: restore id %d both pending and resolved", p.ID)
+			return nil, fmt.Errorf("reliable: restore pending not strictly ascending at id %d", p.ID)
 		}
 		if p.Src < 0 || p.Src >= st.Nodes || p.Dst < 0 || p.Dst >= st.Nodes {
-			return fmt.Errorf("reliable: restore pending id %d has endpoints (%d,%d) outside %d nodes", p.ID, p.Src, p.Dst, st.Nodes)
+			return nil, fmt.Errorf("reliable: restore pending id %d has endpoints (%d,%d) outside %d nodes", p.ID, p.Src, p.Dst, st.Nodes)
 		}
-		if p.ID != payloadID(p.Src, (p.ID&(1<<36-1))-1) || p.ID&(1<<36-1) == 0 || p.ID&(1<<36-1) > st.NextSeq[p.Src] {
-			return fmt.Errorf("reliable: restore pending id %d does not pack (src %d, seq < %d)", p.ID, p.Src, st.NextSeq[p.Src])
+		if p.ID>>seqBits != uint64(p.Src) {
+			return nil, fmt.Errorf("reliable: restore pending id %d does not pack source %d", p.ID, p.Src)
 		}
-		if p.Born < 0 || p.Attempts < 1 {
-			return fmt.Errorf("reliable: restore pending id %d born %d attempts %d", p.ID, p.Born, p.Attempts)
+		if p.Born < 0 || p.Born > math.MaxInt32 || p.Attempts < 1 || p.Attempts > math.MaxInt32 {
+			return nil, fmt.Errorf("reliable: restore pending id %d born %d attempts %d", p.ID, p.Born, p.Attempts)
+		}
+		e, err := claim(p.ID, pending)
+		if err != nil {
+			return nil, err
+		}
+		e.dst, e.born, e.attempts = int32(p.Dst), int32(p.Born), int32(p.Attempts)
+	}
+	for _, set := range []struct {
+		ids   []uint64
+		state uint8
+	}{{st.Accepted, accepted}, {st.Abandoned, abandoned}} {
+		for i, id := range set.ids {
+			if i > 0 && set.ids[i-1] >= id {
+				return nil, fmt.Errorf("reliable: restore %s ids not strictly ascending at %d", stateNames[set.state], id)
+			}
+			if _, err := claim(id, set.state); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for i := range st.Timers {
 		tm := &st.Timers[i]
 		if i > 0 && st.Timers[i-1].Fire >= tm.Fire {
-			return fmt.Errorf("reliable: restore timers not strictly ascending at cycle %d", tm.Fire)
+			return nil, fmt.Errorf("reliable: restore timers not strictly ascending at cycle %d", tm.Fire)
 		}
 		if len(tm.IDs) == 0 {
-			return fmt.Errorf("reliable: restore timer at cycle %d wakes nothing", tm.Fire)
+			return nil, fmt.Errorf("reliable: restore timer at cycle %d wakes nothing", tm.Fire)
 		}
 	}
-	return nil
+	return flows, nil
 }

@@ -74,7 +74,8 @@ type AdaptiveRouter interface {
 	// Probes returns the directed links (id = node*2 + out) the router
 	// wants probed this cycle - its open breakers whose deterministic
 	// probe timer is due. The simulator answers every returned link with
-	// exactly one ProbeResult call.
+	// exactly one ProbeResult call. The slice may be reused: it is
+	// valid until the next call.
 	Probes() []int
 	// ProbeResult delivers the oracle outcome of a probe: alive re-closes
 	// the breaker (half-open re-admission), dead leaves it open.

@@ -74,7 +74,9 @@ type Transport interface {
 	Register(cycle, src, dst int) (id uint64)
 	// Retransmissions returns the copies whose timers have fired and that
 	// are still pending, in deterministic order. The simulator resolves
-	// every returned copy with exactly one Emitted or Deferred call.
+	// every returned copy with exactly one Emitted or Deferred call. The
+	// slice may be reused: it is valid until the next call, as
+	// AdaptiveRouter.Probes's is.
 	Retransmissions(cycle int) []RetransmitCopy
 	// Emitted reports that the copy entered the system this cycle (or was
 	// refused as unreachable, which also consumes an attempt): the

@@ -57,12 +57,13 @@ import (
 //     transport's Register). It places nothing; each packet that enters
 //     goes onto its shard's injection list;
 //   - a parallel region: each shard places its injections on their
-//     entry queues, counting the ones a full queue refuses, expires its
-//     dead heads, sets its queues' credits and moves its links in
-//     row-major order - all of them with unbounded FIFOs, only columns
-//     below n-k with finite buffers. A run with a transport or a router
-//     has one shard, and its retransmissions and re-plan run here too,
-//     in the serial engine's order;
+//     entry queues, counting the ones a full queue refuses, then in one
+//     pass over its nodes expires their dead heads and sets their
+//     queues' credits, and moves its links in row-major order - all of
+//     them with unbounded FIFOs, only columns below n-k with finite
+//     buffers. A run with a transport or a router has one shard; its
+//     retransmissions run here too, before that pass, and the re-plan
+//     inside it, in the serial engine's order;
 //   - with finite buffers, a serial pass moving the top-k-column links of
 //     every row in row-major order. Those links, and only they, race for
 //     credits across a shard boundary (the two links into a node of
@@ -445,80 +446,12 @@ func (sh *shard) place(q int, pk packet, drop, mis, det bool) {
 	sh.qs.push(q, pk)
 }
 
-// expire discards the dead heads of sh's queues: copies older than the
-// TTL into Dropped, copies of payloads the transport abandoned into
-// GaveUp.
-func (s *Sim) expire(sh *shard) {
-	p := &s.p
-	if p.TTL <= 0 && p.Reliable == nil {
-		return
-	}
-	qs := &sh.qs
-	for col := 0; col < s.n; col++ {
-		q0, q1 := s.queueSpan(sh, col)
-		for q := q0; q < q1; q++ {
-			for qs.len(q) > 0 {
-				head := qs.front(q)
-				if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
-					sh.t.gaveUp++
-				} else if p.TTL > 0 && s.cycle-int(head.born) >= p.TTL {
-					sh.t.dropped++
-				} else {
-					break
-				}
-				qs.pop(q)
-			}
-		}
-	}
-}
-
-// replan lets the adaptive router re-examine the head of every queue; a
-// head whose link the router has since condemned moves to the node's
-// other output - same VC, so the dateline ordering is untouched - when
-// that queue has a free slot, instead of stalling until the breaker
-// re-closes. Only heads move: packets behind them follow on later cycles
-// if the condemnation persists. Choose is deterministic within a cycle,
-// so a moved head re-examined at its new queue re-chooses the same
-// output - no ping-pong. A run with a router has one shard.
-func (s *Sim) replan() {
-	p, res, rows, vcs, qs := &s.p, s.res, s.rows, s.vcs, &s.shards[0].qs
-	for node := 0; node < s.nodes; node++ {
-		row, col := node%rows, node/rows
-		for out := 0; out < 2; out++ {
-			for vc := 0; vc < vcs; vc++ {
-				q := (node*2+out)*vcs + vc
-				if qs.len(q) == 0 {
-					continue
-				}
-				pk := qs.front(q)
-				nout, _, _, det := route(&pk, row, col, rows, p)
-				if nout == out {
-					continue
-				}
-				nq := (node*2+nout)*vcs + vc
-				if s.full(nq) {
-					continue // no slot: stay and retry next cycle
-				}
-				if det {
-					res.Detours++
-				}
-				res.Reroutes++
-				qs.pop(q)
-				qs.push(nq, pk)
-			}
-		}
-	}
-}
-
 // move is shard sh's first parallel phase. It places the shard's fresh
 // injections - counting those a full entry queue refuses - and, in a
-// run with the hooks (one shard), the transport's retransmissions, then
-// expires dead heads around the adaptive router's re-plan: finite
-// buffers discard them before it, so that it and the credits see the
-// freed slots, unbounded FIFOs after it, just before the links move.
-// Last it sets the credits of its queues and moves its links, all
-// columns with unbounded FIFOs and the low n-k with finite buffers, in
-// row-major order.
+// run with the hooks (one shard), the transport's retransmissions. Then
+// one pass readies the queues node by node (prepare), and last it moves
+// the shard's links, all columns with unbounded FIFOs and the low n-k
+// with finite buffers, in row-major order.
 func (s *Sim) move(sh *shard, measured bool) {
 	sh.arrivals = sh.arrivals[:0]
 	for d := range sh.handoff {
@@ -532,29 +465,110 @@ func (s *Sim) move(sh *shard, measured bool) {
 	if s.p.Reliable != nil {
 		s.retransmit()
 	}
-	if s.room != nil {
-		s.expire(sh)
-	}
-	if s.p.Adaptive != nil {
-		s.replan()
-	}
-	if s.room == nil {
-		s.expire(sh)
-	}
+	s.prepare(sh)
 	cols := s.n
-	if room := s.room; room != nil {
-		// Credits come from start-of-phase occupancy (conservative) and
-		// are consumed as moves are granted.
-		for col := 0; col < s.n; col++ {
-			q0, q1 := s.queueSpan(sh, col)
-			for q := q0; q < q1; q++ {
-				room[q] = s.p.BufferLimit - sh.qs.len(q)
-			}
-		}
+	if s.room != nil {
 		cols = s.n - s.k
 	}
 	for row := sh.lo; row < sh.hi; row++ {
 		s.moveRow(sh, row, 0, cols, measured)
+	}
+}
+
+// prepare readies shard sh's queues for the links to move, node by node
+// in queue order. At each node it expires the dead heads around the
+// adaptive router's re-plan - finite buffers discard them before it, so
+// that it and the credits see the freed slots, unbounded FIFOs after
+// it, just before the links move - and with finite buffers it then sets
+// the credits of the node's queues from their occupancy (conservative:
+// moves granted later in the cycle consume them). Each step reads and
+// writes only the node's own queues, and the router's Choose is a pure
+// read within a cycle, so one pass gives the bytes of three separate
+// scans. With unbounded FIFOs, no TTL and no hooks there is nothing to
+// do.
+func (s *Sim) prepare(sh *shard) {
+	p, room, vcs := &s.p, s.room, s.vcs
+	expire := p.TTL > 0 || p.Reliable != nil
+	if room == nil && !expire && p.Adaptive == nil {
+		return
+	}
+	before, after := expire && room != nil, expire && room == nil
+	per := 2 * vcs
+	for col := 0; col < s.n; col++ {
+		for row := sh.lo; row < sh.hi; row++ {
+			node := col*s.rows + row
+			q0, q1 := node*per, (node+1)*per
+			if before {
+				s.expire(sh, q0, q1)
+			}
+			if p.Adaptive != nil {
+				s.replan(&sh.qs, row, col)
+			}
+			if after {
+				s.expire(sh, q0, q1)
+			}
+			if room != nil {
+				for q := q0; q < q1; q++ {
+					room[q] = p.BufferLimit - sh.qs.len(q)
+				}
+			}
+		}
+	}
+}
+
+// expire discards the dead heads of queues [q0, q1) of shard sh: copies
+// older than the TTL into Dropped, copies of payloads the transport
+// abandoned into GaveUp.
+func (s *Sim) expire(sh *shard, q0, q1 int) {
+	p, qs := &s.p, &sh.qs
+	for q := q0; q < q1; q++ {
+		for qs.len(q) > 0 {
+			head := qs.front(q)
+			if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
+				sh.t.gaveUp++
+			} else if p.TTL > 0 && s.cycle-int(head.born) >= p.TTL {
+				sh.t.dropped++
+			} else {
+				break
+			}
+			qs.pop(q)
+		}
+	}
+}
+
+// replan lets the adaptive router re-examine the head of every queue of
+// node (row, col); a head whose link the router has since condemned moves to the
+// node's other output - same VC, so the dateline ordering is untouched -
+// when that queue has a free slot, instead of stalling until the
+// breaker re-closes. Only heads move: packets behind them follow on
+// later cycles if the condemnation persists. Choose is deterministic
+// within a cycle, so a moved head re-examined at its new queue re-chooses
+// the same output - no ping-pong. A run with a router has one shard.
+func (s *Sim) replan(qs *queueSlab, row, col int) {
+	p, res, rows, vcs := &s.p, s.res, s.rows, s.vcs
+	node := col*rows + row
+	for out := 0; out < 2; out++ {
+		for vc := 0; vc < vcs; vc++ {
+			q := (node*2+out)*vcs + vc
+			if qs.len(q) == 0 {
+				continue
+			}
+			pk := qs.front(q)
+			nout, _, _, det := route(&pk, row, col, rows, p)
+			if nout == out {
+				continue
+			}
+			nq := (node*2+nout)*vcs + vc
+			if s.full(nq) {
+				continue // no slot: stay and retry next cycle
+			}
+			if det {
+				res.Detours++
+			}
+			res.Reroutes++
+			qs.pop(q)
+			qs.push(nq, pk)
+		}
 	}
 }
 
