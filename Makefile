@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-alloc vet lint lint-concurrency lint-schema fmt tables cover fault-sweep reliable-sweep adaptive-sweep fuzz serve sweep-resume chaos-sweep
+.PHONY: all build test test-short race bench bench-alloc vet lint lint-concurrency fmt tables cover fault-sweep reliable-sweep adaptive-sweep fuzz serve sweep-resume chaos-sweep
 
-all: build vet lint lint-schema test
+all: build vet lint test
 
 build:
 	$(GO) build ./...
@@ -27,17 +27,6 @@ lint-concurrency:
 	$(GO) build -o bin/bflint ./cmd/bflint
 	bin/bflint ./internal/dispatch ./internal/serve ./internal/sweepfarm ./cmd/bffarm
 	$(GO) test -race -count=1 ./internal/dispatch/... ./internal/serve/... ./internal/par/... ./internal/sweepfarm/...
-
-# The v4 serialization gate: the schema-drift analyzers (wirecover,
-# statecover, schemalock) over the wire/snapshot/state packages, plus a
-# byte-compare of a freshly regenerated manifest against the committed
-# internal/wire/schema.lock — manifest drift fails even if no analyzer
-# fires.
-lint-schema:
-	$(GO) build -o bin/bflint ./cmd/bflint
-	bin/bflint ./internal/wire ./internal/snapshot ./internal/routing ./internal/reliable ./internal/adaptive
-	bin/bflint -writeschema -o bin/schema.lock.generated
-	cmp internal/wire/schema.lock bin/schema.lock.generated
 
 fmt:
 	gofmt -l .

@@ -251,23 +251,6 @@ func SimulateRoutingPattern(p RoutingParams, pattern Pattern) (*routing.Result, 
 	return routing.SimulatePattern(p, pattern)
 }
 
-// RoutingSweepPoint is one (load, throughput, latency) measurement of a
-// load sweep.
-type RoutingSweepPoint = routing.SweepPoint
-
-// RoutingSweep simulates the given loads concurrently and returns the
-// measurements in input order, deterministically seeded per cell.
-func RoutingSweep(base RoutingParams, lambdas []float64, pattern Pattern) []RoutingSweepPoint {
-	return routing.ParallelSweep(base, lambdas, pattern)
-}
-
-// SaturationFromSweep estimates the saturation rate from a load sweep:
-// the largest load whose delivered throughput is at least eff times the
-// offered load.
-func SaturationFromSweep(points []RoutingSweepPoint, eff float64) float64 {
-	return routing.SaturationFromSweep(points, eff)
-}
-
 // TheoreticalSaturation returns the analytic saturation estimate for
 // the wrapped B_n under uniform traffic.
 func TheoreticalSaturation(n int) float64 { return routing.TheoreticalSaturation(n) }

@@ -40,7 +40,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("bflint", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bflint [-json|-sarif] [packages]\n       bflint -writeschema [-o file]\n       bflint unit.cfg   (go vet -vettool mode)\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: bflint [-json|-sarif] [packages]\n       bflint unit.cfg   (go vet -vettool mode)\n\nanalyzers:\n")
 		for _, a := range lint.Suite() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -48,16 +48,13 @@ func run(args []string) int {
 	flagsJSON := fs.Bool("flags", false, "describe flags in JSON (go vet protocol)")
 	jsonOut := fs.Bool("json", false, "emit findings and a per-analyzer summary as JSON on stdout (standalone mode only)")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout (standalone mode only)")
-	writeSchema := fs.Bool("writeschema", false, "regenerate the wire/snapshot schema manifest instead of linting")
-	outPath := fs.String("o", "", "output path for -writeschema (default <module>/internal/wire/schema.lock)")
 	if err := parseArgs(fs, args); err != nil {
 		return 2
 	}
 
 	if *flagsJSON {
-		// bflint defines no tool flags beyond the protocol ones; -json,
-		// -sarif, and -writeschema are standalone-only and not
-		// advertised to go vet.
+		// bflint defines no tool flags beyond the protocol ones; -json
+		// and -sarif are standalone-only and not advertised to go vet.
 		fmt.Println("[]")
 		return 0
 	}
@@ -65,14 +62,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "bflint: -json and -sarif are mutually exclusive")
 		return 2
 	}
-	if *writeSchema {
-		if *jsonOut || *sarifOut || fs.NArg() > 0 {
-			fmt.Fprintln(os.Stderr, "bflint: -writeschema takes no packages and no output-format flags")
-			return 2
-		}
-		return runWriteSchema(*outPath)
-	}
-
 	rest := fs.Args()
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		return runVet(rest[0])

@@ -3,8 +3,8 @@
 // type-checked package, and an intraprocedural lockset dataflow built
 // on the internal/lint/cfg engine.
 //
-// lockcheck, statecover, wirecover and the schema engine sit on top of
-// it. The engine is deliberately package-scoped and bounded:
+// lockcheck is its only client, and the package keeps only what
+// lockcheck uses. The engine is deliberately package-scoped and bounded:
 //
 //   - calls that leave the package are opaque (no cross-package facts
 //     travel through the vet protocol);
@@ -161,13 +161,6 @@ func (g *Graph) CallersOf(fn *types.Func) []*CallSite { return g.callers[fn] }
 
 // Calls returns the node's call sites.
 func (n *Node) Calls() []*CallSite { return n.calls }
-
-// CalleesOf resolves one call expression to its package-local callee
-// nodes (empty for opaque cross-package or dynamic calls).
-func (g *Graph) CalleesOf(call *ast.CallExpr) []*Node {
-	nodes, _ := g.resolveCallees(call)
-	return nodes
-}
 
 // resolveCallees maps one call expression to package-local nodes.
 func (g *Graph) resolveCallees(call *ast.CallExpr) ([]*Node, bool) {

@@ -11,7 +11,7 @@
 // declaration of the facade package references it. Deliberate omissions
 // are declared in the facade source as
 //
-//	//facade:exempt routing.SweepPoint internal sweep plumbing
+//	//facade:exempt routing.MaxDetours enforced by NewAdaptiveRouter
 //
 // naming the symbol as <package short name>.<symbol>, with an optional
 // trailing reason.

@@ -16,25 +16,14 @@
 //
 // plus the CLI error-path audit (errflush) for flush/close paths, and —
 // on the internal/lint/cfg control-flow graphs and the
-// internal/lint/callgraph call-graph/lockset engine — the guarded-field
-// contract: //bflint:guardedby annotations hold on every CFG path,
-// through unexported helpers (lockcheck). Goroutine fan-outs are not
-// linted: they all run on internal/par, whose tests and the -race runs
-// over the sweeps built on it check joins and shared writes.
-//
-// Sharing the call graph through internal/lint/schema, the suite also
-// checks the serialization contracts:
-//
-//   - wire coverage: every field of a MarshalBinary/UnmarshalBinary
-//     type is read in Marshal's call reach and written in Unmarshal's,
-//     in the same order on both sides (wirecover);
-//   - checkpoint coverage: simulator state structs captured by
-//     internal/snapshot have every field written in the capture path
-//     and read in the restore path (statecover);
-//   - schema locking: a type's field schema fingerprint plus version
-//     byte must match the committed internal/wire/schema.lock; field
-//     changes without a version bump or a `bflint -writeschema`
-//     regeneration fail the lint (schemalock).
+// internal/lint/callgraph call-graph/lockset engine, whose only client
+// it is — the guarded-field contract: //bflint:guardedby annotations
+// hold on every CFG path, through unexported helpers (lockcheck).
+// Goroutine fan-outs are not linted: they all run on internal/par, whose
+// tests and the -race runs over the sweeps built on it check joins and
+// shared writes. Nor are the serialization contracts: the round-trip,
+// sample-coverage and version-keyed golden-frame tests of internal/wire
+// and internal/snapshot check them at run time (DESIGN.md section 13).
 package lint
 
 import (
@@ -51,9 +40,6 @@ import (
 	"bfvlsi/internal/lint/facadecheck"
 	"bfvlsi/internal/lint/lockcheck"
 	"bfvlsi/internal/lint/maporder"
-	"bfvlsi/internal/lint/schemalock"
-	"bfvlsi/internal/lint/statecover"
-	"bfvlsi/internal/lint/wirecover"
 )
 
 // modulePath is the import-path root of this repository.
@@ -103,40 +89,7 @@ func Suite() []*analysis.Analyzer {
 		facadecheck.Analyzer,
 		errflush.Analyzer,
 		lockcheck.Analyzer,
-		wirecover.Analyzer,
-		statecover.Analyzer,
-		schemalock.Analyzer,
 	}
-}
-
-// wirePackages are the packages whose binary marshalers carry the wire
-// round-trip and schema-lock contracts: the wire format itself and the
-// checkpoint frames layered on it.
-var wirePackages = map[string]bool{
-	modulePath + "/internal/wire":     true,
-	modulePath + "/internal/snapshot": true,
-}
-
-// WirePackagePaths returns the packages whose binary marshalers the
-// schema manifest covers, sorted; `bflint -writeschema` loads exactly
-// these, so the manifest and the schemalock binding cannot drift.
-func WirePackagePaths() []string {
-	paths := make([]string, 0, len(wirePackages))
-	for p := range wirePackages {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-// statePackages are the packages whose State/Restore pairs feed
-// internal/snapshot checkpoints: new simulator state must round-trip
-// through capture and restore.
-var statePackages = map[string]bool{
-	modulePath + "/internal/routing":  true,
-	modulePath + "/internal/reliable": true,
-	modulePath + "/internal/adaptive": true,
-	modulePath + "/internal/snapshot": true,
 }
 
 // AnalyzersFor returns the suite subset that binds to the package with
@@ -155,12 +108,6 @@ func AnalyzersFor(pkgPath string) []*analysis.Analyzer {
 	// as its least deterministic caller, and any package may annotate a
 	// //bflint:guardedby field.
 	out = append(out, maporder.Analyzer, conscount.Analyzer, lockcheck.Analyzer)
-	if wirePackages[pkgPath] {
-		out = append(out, wirecover.Analyzer, schemalock.Analyzer)
-	}
-	if statePackages[pkgPath] {
-		out = append(out, statecover.Analyzer)
-	}
 	if pkgPath == modulePath {
 		out = append(out, facadecheck.Analyzer)
 	}

@@ -99,6 +99,11 @@ func RestoreSim(p Params, pattern Pattern, st *SimState) (*Sim, error) {
 	if err := checkCounters(&st.Counters, s.nodes, len(st.Packets)); err != nil {
 		return nil, err
 	}
+	// Finish divides the crossings by the measured cycles into
+	// BoundaryCrossingsPerCycle, which must read 0 without modules.
+	if st.Crossings < 0 || st.Crossings != 0 && p.ModuleOf == nil {
+		return nil, fmt.Errorf("routing: restore crossing count %d is negative or set without Params.ModuleOf", st.Crossings)
+	}
 	prev := -1
 	for i := range st.Packets {
 		ps := &st.Packets[i]

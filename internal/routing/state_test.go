@@ -122,6 +122,7 @@ func TestRestoreSimRejectsCorrupt(t *testing.T) {
 		{"counter drift", func(st *SimState, _ Params) { st.Counters.TotalInjected += 3 }},
 		{"derived field set", func(st *SimState, _ Params) { st.Counters.Backlog = 1 }},
 		{"wrong nodes", func(st *SimState, _ Params) { st.Counters.Nodes++ }},
+		{"crossings without modules", func(st *SimState, _ Params) { st.Crossings = 1000 }},
 	}
 	for _, m := range mutate {
 		t.Run(m.name, func(t *testing.T) {

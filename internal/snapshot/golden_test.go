@@ -3,20 +3,24 @@ package snapshot
 import (
 	"bytes"
 	"flag"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"bfvlsi/internal/wire/wiretest"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot frames")
+var updateGolden = flag.Bool("update", false, "write the golden frames of new format versions")
 
 // TestGoldenFrames pins the encoded bytes of the snapshot wire types —
 // a fully loaded Spec and a mid-run Checkpoint of the deepest stack
-// (VC + faults + reliable + adaptive) — against committed frames. The
-// checkpoint is deterministic by the restore-determinism contract, so
-// its bytes are a stable fingerprint of both the encoder and the
-// simulator. Regenerate deliberately with
-// `go test ./internal/snapshot -run TestGoldenFrames -update`.
+// (VC + faults + reliable + adaptive) — against the committed frames
+// testdata/golden/<name>.v<N>.bin, N being the frame's version byte.
+// The checkpoint is deterministic by the restore-determinism contract,
+// so its bytes are a stable fingerprint of both the encoder and the
+// simulator. -update only writes frames that are missing: a byte change
+// under an unchanged Version constant fails, so bump the constant, then
+// `go test ./internal/snapshot -run TestGoldenFrames -update` writes the
+// new version's frames.
 func TestGoldenFrames(t *testing.T) {
 	specs := testSpecs()
 	spec := specs[len(specs)-1].Spec // vc-faults-reliable-adaptive
@@ -42,32 +46,19 @@ func TestGoldenFrames(t *testing.T) {
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			path := filepath.Join("testdata", "golden", fr.name+".bin")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("golden frame missing (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("encoding of %s drifted from the golden frame (%d vs %d bytes)", fr.name, len(got), len(want))
+			want := wiretest.Frame(t, filepath.Join("testdata", "golden"), fr.name, got, *updateGolden)
+			if fr.name == "checkpoint" {
+				checkResumes(t, want)
 			}
 		})
 	}
+}
 
-	// The committed checkpoint must still decode and resume: archived
-	// checkpoints written by old binaries stay usable.
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "checkpoint.bin"))
-	if err != nil {
-		t.Fatalf("golden checkpoint missing (regenerate with -update): %v", err)
-	}
+// checkResumes requires the committed checkpoint frame to decode,
+// re-encode to itself and resume at its cycle: archived checkpoints
+// written by old binaries stay usable.
+func checkResumes(t *testing.T, want []byte) {
+	t.Helper()
 	var dec Checkpoint
 	if err := dec.UnmarshalBinary(want); err != nil {
 		t.Fatalf("committed checkpoint no longer decodes: %v", err)

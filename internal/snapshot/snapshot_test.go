@@ -83,7 +83,7 @@ func finishRun(t *testing.T, r *Run) runOutcome {
 // continuation trace that concatenates byte-identically with the
 // prefix trace.
 func TestCheckpointRestoreGolden(t *testing.T) {
-	for _, tc := range testSpecs() {
+	for _, tc := range append(testSpecs(), giveUpStacks()...) {
 		t.Run(tc.Name, func(t *testing.T) {
 			var fullTrace bytes.Buffer
 			fr, err := Start(tc.Spec, &fullTrace)
@@ -339,6 +339,7 @@ func TestCheckpointRejects(t *testing.T) {
 		{"implausible sim draws", func(c *Checkpoint) { c.Sim.Draws = 1 << 60 }},
 		{"implausible transport draws", func(c *Checkpoint) { c.Reliable.Draws = 1 << 60 }},
 		{"counter drift breaks conservation", func(c *Checkpoint) { c.Sim.Counters.Delivered++; c.Sim.Counters.TotalDelivered++ }},
+		{"crossings without modules", func(c *Checkpoint) { c.Sim.Crossings = 1000 }},
 		{"pending attempts zeroed", func(c *Checkpoint) {
 			if len(c.Reliable.Pending) == 0 {
 				c.Sim.Cycle = -1 // fall back to another invalid state

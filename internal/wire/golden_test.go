@@ -3,18 +3,20 @@ package wire
 import (
 	"bytes"
 	"flag"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"bfvlsi/internal/wire/wiretest"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden wire frames")
+var updateGolden = flag.Bool("update", false, "write the golden frames of new format versions")
 
-// TestGoldenFrames pins the encoded bytes of every wire type against
-// committed frames: schema.lock freezes the field schema, this corpus
-// freezes the actual byte layout. An encoding change that slips past
-// the analyzers (e.g. a varint width tweak) fails here. Regenerate
-// deliberately with `go test ./internal/wire -run TestGoldenFrames -update`.
+// TestGoldenFrames pins the encoded bytes of every sample against its
+// committed frame testdata/golden/<name>.v<N>.bin, N being the frame's
+// version byte. -update only writes frames that are missing, so any
+// byte change under an unchanged Version constant fails: bump the
+// constant, then `go test ./internal/wire -run TestGoldenFrames -update`
+// writes the new version's frames.
 func TestGoldenFrames(t *testing.T) {
 	for name, v := range sampleValues(t) {
 		t.Run(name, func(t *testing.T) {
@@ -22,23 +24,7 @@ func TestGoldenFrames(t *testing.T) {
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			path := filepath.Join("testdata", "golden", name+".bin")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("golden frame missing (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("encoding of %s drifted from the golden frame:\n got %x\nwant %x", name, got, want)
-			}
+			want := wiretest.Frame(t, filepath.Join("testdata", "golden"), name, got, *updateGolden)
 			// The committed frame must still decode, and re-encode to
 			// itself: on-disk caches and archived sweep results written
 			// by old binaries stay readable.
@@ -55,4 +41,17 @@ func TestGoldenFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSampleCoverage requires the samples to exercise every field of
+// every wire type, including the structs other packages declare
+// (graph.Edge, grid.Stats, packaging.Stats): each field is non-zero in
+// some sample, and same-typed sibling fields differ in some sample, so
+// TestRoundTripByteIdentity sees a dropped, unset or swapped field.
+func TestSampleCoverage(t *testing.T) {
+	var c wiretest.Coverage
+	for _, v := range sampleValues(t) {
+		c.Add(v)
+	}
+	c.Check(t, nil)
 }

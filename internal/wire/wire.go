@@ -35,13 +35,20 @@
 //   - Corrupt input must produce an error, never a panic; the fuzzers
 //     in fuzz_test.go enforce this.
 //
-// The field schema of every marshalable type is pinned by the committed
-// schema.lock manifest in this directory, checked by the schemalock
-// analyzer (see DESIGN.md section 13). To change a type's fields:
-// bump its Version constant below, update both encode and decode paths
-// (the wirecover analyzer checks they stay mirror images), regenerate
-// the manifest with `bflint -writeschema`, and refresh the golden
-// frames with `go test ./internal/wire -run TestGoldenFrames -update`.
+// The tests in this package and in internal/snapshot hold these rules
+// at run time (see DESIGN.md section 13). Every sample value must
+// round-trip to an equal value; every exported field, down to the
+// structs other packages declare, must be non-zero in some sample; and
+// every sample's bytes must equal its committed golden frame
+// testdata/golden/<name>.v<N>.bin, N being the version byte the frame
+// carries. So to change a type's fields: bump its Version constant
+// below, update both encode and decode paths, give some sample a
+// non-zero value for each new field, and write the new version's frames
+// with `go test ./internal/wire -run TestGoldenFrames -update`, which
+// writes only missing frames. A byte change under an unchanged version
+// fails however the frames are regenerated. A type that embeds the
+// changed one changes its bytes too and needs its own bump: RouteSpec
+// embeds FaultSpec, and the snapshot frames embed RouteSpec.
 package wire
 
 import (

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"bfvlsi/internal/graph"
+	"bfvlsi/internal/grid"
+	"bfvlsi/internal/packaging"
 	"bfvlsi/internal/routing"
 )
 
@@ -18,9 +20,12 @@ type binaryCodec interface {
 	encoding.BinaryUnmarshaler
 }
 
-// sampleValues returns one representative populated value per
-// marshalable type; every round-trip and framing test runs over all of
-// them, so adding a type here extends the whole property suite.
+// sampleValues returns populated values of every marshalable type;
+// every round-trip, framing and golden-frame test runs over all of
+// them, so adding a type here extends the whole property suite. The
+// first sample of each type is its representative; the others set what
+// it leaves zero, and keep apart same-typed fields it sets equal, as
+// TestSampleCoverage requires.
 func sampleValues(t *testing.T) map[string]binaryCodec {
 	t.Helper()
 	g, err := GraphFromButterfly(3)
@@ -65,6 +70,47 @@ func sampleValues(t *testing.T) map[string]binaryCodec {
 		"sweepSpec": &SweepSpec{
 			N: 4, Lambda: 0.05, Warmup: 50, Cycles: 200, Seed: 9,
 			TTL: 32, Rates: []float64{0, 0.01, 0.05},
+		},
+
+		"layoutSpecMultilayer": &LayoutSpec{
+			Family: FamilyThompson, Widths: []int{2, 2}, Layers: 4, Multilayer: true,
+		},
+		"layoutSpecStack3D": &LayoutSpec{
+			Family: FamilyStack3D, Widths: []int{2, 2, 2, 2}, SliceLayers: 2,
+		},
+		"layoutSpecHierarchy": &LayoutSpec{Family: FamilyHierarchy, N: 9, MaxPins: 64, ChipSide: 20},
+		"layoutResultStats": &LayoutResult{
+			Family: FamilyCollinear,
+			Stats: grid.Stats{
+				Width: 40, Height: 30, Area: 1200, Volume: 2400, Layers: 2,
+				MaxWireLength: 37, TotalWireLength: 911, Wires: 48, Nodes: 32, Vias: 64,
+			},
+			Extras: []Extra{{Name: "numTracks", Value: 16}},
+		},
+		"packagingPlanStats": &PackagingPlan{
+			Desc: "naive", NumModules: 2, ModuleOf: []int{0, 0, 1, 1},
+			Stats: packaging.Stats{
+				NumModules: 2, MinNodesPerModule: 1, MaxNodesPerModule: 3,
+				MaxOffLinksPerModu: 4, TotalCutLinks: 5, AvgOffLinksPerNode: 1.25,
+			},
+		},
+		"routeSpecBuffered": &RouteSpec{
+			N: 5, Lambda: 0.1, Warmup: 20, Cycles: 80, Seed: 1,
+			BufferLimit: 2, TTL: 40,
+		},
+		"routeResultDistinct": &RouteResult{
+			Nodes: 160, Injected: 140, Delivered: 120,
+			Throughput: 0.02, AvgLatency: 9.5, AvgHops: 5.25,
+			MaxQueue: 7, Backlog: 11, BoundaryCrossingsPerCycle: 0.75,
+			InjectionDrops: 13, Stalls: 17, Dropped: 19, Unreachable: 18,
+			Misroutes: 23, Detours: 29, Reroutes: 31,
+			UnreachableDead: 8, UnreachableCut: 6, UnreachableDetected: 4,
+			Retransmitted: 37, DuplicatesDropped: 41, GaveUp: 43,
+			TotalInjected: 177, TotalDelivered: 161,
+		},
+		"sweepSpecBuffered": &SweepSpec{
+			N: 5, Lambda: 0.08, Warmup: 30, Cycles: 120, Seed: 2,
+			BufferLimit: 3, TTL: 40, Rates: []float64{0.02},
 		},
 	}
 }
