@@ -11,7 +11,7 @@ vet:
 	$(GO) vet ./...
 
 # bflint is the repo's own analyzer suite (determinism, conservation,
-# facade, flush/close contracts). It runs standalone here; CI also
+# flush/close and guarded-field contracts). It runs standalone here; CI also
 # exercises the `go vet -vettool` path.
 lint:
 	$(GO) build -o bin/bflint ./cmd/bflint

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bfvlsi/internal/fftsim"
-	"bfvlsi/internal/routing"
 )
 
 func TestFacadeQuickPath(t *testing.T) {
@@ -78,7 +77,7 @@ func TestFacadeBoardDesign(t *testing.T) {
 }
 
 func TestFacadeRoutingAndFFT(t *testing.T) {
-	r, err := SimulateRouting(routing.Params{N: 3, Lambda: 0.05, Warmup: 50, Cycles: 200, Seed: 1})
+	r, err := SimulateRouting(RoutingParams{N: 3, Lambda: 0.05, Warmup: 50, Cycles: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestFacadeLayoutWithParams(t *testing.T) {
 }
 
 func TestFacadeSaturationRate(t *testing.T) {
-	rate, err := SaturationRate(3, routing.SaturationOptions{
+	rate, err := SaturationRate(3, SaturationOptions{
 		Warmup: 100, Cycles: 200, Steps: 4, Seed: 1,
 	})
 	if err != nil {
@@ -190,43 +189,5 @@ func TestFacadeButterflyAndSpecForDim(t *testing.T) {
 	}
 	if SpecForDim(9).String() != "(3,3,3)" {
 		t.Errorf("SpecForDim(9) = %v", SpecForDim(9))
-	}
-}
-
-func TestFacadeFaultPlan(t *testing.T) {
-	plan, err := NewFaultPlan(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.AddRandomLinkFaults(0.05, 9); err != nil {
-		t.Fatal(err)
-	}
-	r, err := SimulateRouting(RoutingParams{
-		N: 4, Lambda: 0.1, Warmup: 50, Cycles: 300, Seed: 9,
-		Faults: plan, Policy: Misroute, TTL: DefaultPacketTTL(4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CheckConservation(); err != nil {
-		t.Error(err)
-	}
-	if r.Misroutes == 0 {
-		t.Error("no misroutes around 5% dead links")
-	}
-	schemes, err := StandardFaultSchemes(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(schemes) != 3 {
-		t.Errorf("got %d standard schemes, want 3", len(schemes))
-	}
-	sb := Transform(SpecForDim(4))
-	moduleOf, err := RoutingModules(PackageNuclei(sb), sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moduleOf) != 4*16 {
-		t.Errorf("RoutingModules length %d, want 64", len(moduleOf))
 	}
 }

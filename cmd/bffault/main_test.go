@@ -178,6 +178,8 @@ func TestSweepPrintersByteIdentical(t *testing.T) {
 		{"adaptive sweep", append([]string{"-adaptive"}, sweep...)},
 		{"adaptive compare", append([]string{"-adaptive"}, compare...)},
 		{"buffered sweep", append([]string{"-buffers", "4"}, sweep...)},
+		// EXPERIMENTS.md's E23 table, reproduced digit for digit.
+		{"e23", []string{"-n", "6", "-lambda", "0.06", "-adaptive", "-compare", "-kills", "0,2,4", "-seed", "42", "-warmup", "200", "-cycles", "800"}},
 	}
 	for _, tc := range cases {
 		for _, csv := range []bool{false, true} {

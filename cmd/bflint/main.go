@@ -1,6 +1,6 @@
 // Command bflint runs the repo's custom static-analysis suite — the
-// mechanical form of the determinism, conservation, and facade
-// contracts (see internal/lint).
+// mechanical form of the determinism, conservation, flush/close and
+// guarded-field contracts (see internal/lint).
 //
 // Standalone mode expands the patterns with `go list`:
 //

@@ -44,9 +44,9 @@ func TestEmitSARIFSchema(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs = append(ruleIDs, r.ID)
 	}
-	want := "[detrand maporder conscount facadecheck errflush lockcheck]"
+	want := "[detrand maporder conscount errflush lockcheck]"
 	if got := fmt.Sprint(ruleIDs); got != want {
-		t.Errorf("SARIF rules = %s, want the six suite analyzers %s", got, want)
+		t.Errorf("SARIF rules = %s, want the five suite analyzers %s", got, want)
 	}
 	if len(run.Results) != 1 {
 		t.Fatalf("got %d results, want 1", len(run.Results))

@@ -23,6 +23,12 @@
 //   - a synchronous packet-routing simulator and an FFT dataflow engine
 //     that executes a DFT along ISN stages.
 //
+// The facade is the paper's API: every exported name here is callable
+// from outside the module, as the examples in example_test.go show.
+// The simulator's fault, retransmission, adaptive-routing and
+// checkpoint machinery stays internal; cmd/bffault, cmd/bfsweep,
+// cmd/bfserve and cmd/bffarm drive it.
+//
 // Quick start:
 //
 //	res, err := bfvlsi.LayoutButterfly(9) // Thompson layout of B_9

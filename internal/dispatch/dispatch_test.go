@@ -325,9 +325,9 @@ func inCoordinator(fn string) int {
 	return n
 }
 
-// TestRunJoinsItsGoroutines checks that Run leaves nothing running: when
-// it returns, no group worker and no hedged attempt is still in flight,
-// and once the fleet's servers and idle connections are closed the
+// TestRunJoinsItsGoroutines checks that Run leaves nothing running:
+// when it returns no group worker and no hedged attempt is still in
+// flight, and once the fleet's servers and idle connections are closed the
 // goroutine count comes back to its baseline, with and without hedging.
 // Worker 0 holds every request for 200ms, so under hedging the losing
 // primaries are the stragglers Run must wait for.
@@ -346,8 +346,19 @@ func TestRunJoinsItsGoroutines(t *testing.T) {
 			cfg := testConfig(u0, u1)
 			cfg.Client = &http.Client{Transport: tr}
 			cfg.HedgeAfter = hedge
+			cfg.Live = &Live{}
 			_, st := mustRun(t, spec, cfg)
-			for _, fn := range []string{"(*coordinator).attempt.func", "(*coordinator).runGroup"} {
+			// A fire settles its lease in call and delivers before its
+			// deferred Done, so once Run has waited none of these
+			// remain; its goroutine may still sit between Done and
+			// exit, which no check here looks at. Run cancels unjoined
+			// stragglers as it returns and they end within
+			// microseconds, so the lease count, read at once, is what
+			// catches them.
+			if n := cfg.Live.Snapshot().LeasesOutstanding; n != 0 {
+				t.Errorf("%d leases outstanding after Run returned", n)
+			}
+			for _, fn := range []string{"(*coordinator).call", "(*coordinator).deliver", "(*coordinator).runGroup"} {
 				if n := inCoordinator(fn); n > 0 {
 					t.Errorf("%d goroutines still in %s after Run returned", n, fn)
 				}

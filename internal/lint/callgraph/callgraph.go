@@ -25,7 +25,7 @@ import (
 )
 
 // MaxInterfaceImpls bounds CHA fan-out at one interface call site;
-// beyond it the site stays dynamic (unresolved).
+// beyond it the site stays dynamic (no callees recorded).
 const MaxInterfaceImpls = 8
 
 // A Key names one lock (or any access path) as seen from inside one
@@ -91,18 +91,13 @@ type Node struct {
 	Func *types.Func
 	Decl *ast.FuncDecl
 
-	calls []*CallSite
 	locks *LockInfo
 }
 
-// A CallSite is one call expression inside a caller, with its resolved
-// package-local callees. Resolved is false when the target may lie
-// outside the package or past the CHA bound.
+// A CallSite is one call expression inside a caller.
 type CallSite struct {
-	Caller   *Node
-	Call     *ast.CallExpr
-	Callees  []*Node
-	Resolved bool
+	Caller *Node
+	Call   *ast.CallExpr
 }
 
 // Graph is the package call graph.
@@ -141,14 +136,13 @@ func Build(pkg *types.Package, info *types.Info, files []*ast.File) *Graph {
 	return g
 }
 
-// scanBody records the node's call sites.
+// scanBody records the node's call sites under each package-local
+// callee they may invoke.
 func (g *Graph) scanBody(node *Node) {
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			callees, resolved := g.resolveCallees(call)
-			site := &CallSite{Caller: node, Call: call, Callees: callees, Resolved: resolved}
-			node.calls = append(node.calls, site)
-			for _, c := range callees {
+			site := &CallSite{Caller: node, Call: call}
+			for _, c := range g.resolveCallees(call) {
 				g.callers[c.Func] = append(g.callers[c.Func], site)
 			}
 		}
@@ -159,45 +153,30 @@ func (g *Graph) scanBody(node *Node) {
 // CallersOf returns every recorded call site that may invoke fn.
 func (g *Graph) CallersOf(fn *types.Func) []*CallSite { return g.callers[fn] }
 
-// Calls returns the node's call sites.
-func (n *Node) Calls() []*CallSite { return n.calls }
-
-// resolveCallees maps one call expression to package-local nodes.
-func (g *Graph) resolveCallees(call *ast.CallExpr) ([]*Node, bool) {
+// resolveCallees maps one call expression to the package-local nodes it
+// may invoke; a call that leaves the package, a builtin, a conversion
+// or a closure variable has none.
+func (g *Graph) resolveCallees(call *ast.CallExpr) []*Node {
+	var fn *types.Func
 	switch fun := Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fn, ok := g.Info.Uses[fun].(*types.Func); ok {
-			if node := g.Nodes[fn]; node != nil {
-				return []*Node{node}, true
-			}
-			return nil, false // builtin or dot-imported
-		}
-		return nil, false // closure variable or conversion
+		fn, _ = g.Info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel, ok := g.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 			m, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil, false
-			}
-			if types.IsInterface(recvType(m)) {
+			if ok && types.IsInterface(recvType(m)) {
 				return g.chaResolve(m)
 			}
-			if node := g.Nodes[m]; node != nil {
-				return []*Node{node}, true
-			}
-			return nil, false
+			fn = m
+		} else {
+			// Package-qualified call (pkg.F) or method expression.
+			fn, _ = g.Info.Uses[fun.Sel].(*types.Func)
 		}
-		// Package-qualified call (pkg.F) or method expression.
-		if fn, ok := g.Info.Uses[fun.Sel].(*types.Func); ok {
-			if node := g.Nodes[fn]; node != nil {
-				return []*Node{node}, true
-			}
-			return nil, false
-		}
-		return nil, false
-	default:
-		return nil, false
 	}
+	if node := g.Nodes[fn]; node != nil {
+		return []*Node{node}
+	}
+	return nil
 }
 
 // recvType returns the receiver type of a method, nil for functions.
@@ -211,11 +190,13 @@ func recvType(fn *types.Func) types.Type {
 
 // chaResolve finds every package-declared concrete type implementing
 // the interface that declares m, and returns their implementations of
-// m. Past MaxInterfaceImpls the site stays dynamic.
-func (g *Graph) chaResolve(m *types.Func) ([]*Node, bool) {
+// m. Past MaxInterfaceImpls the site stays dynamic. CHA over one
+// package can never be complete when the interface is exported (an
+// implementation may live elsewhere), so the list is a lower bound.
+func (g *Graph) chaResolve(m *types.Func) []*Node {
 	iface, ok := recvType(m).Underlying().(*types.Interface)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	var out []*Node
 	scope := g.Pkg.Scope()
@@ -240,16 +221,13 @@ func (g *Graph) chaResolve(m *types.Func) ([]*Node, bool) {
 			if node := g.Nodes[impl]; node != nil {
 				out = append(out, node)
 				if len(out) > MaxInterfaceImpls {
-					return nil, false
+					return nil
 				}
 			}
 			break // T and *T share the method declaration
 		}
 	}
-	// CHA over one package can never be complete when the interface is
-	// exported (an implementation may live elsewhere), so interface
-	// sites are resolved-with-residue: callees listed, Resolved false.
-	return out, false
+	return out
 }
 
 // keyID renders a Key for internal set membership.

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"bfvlsi/internal/lint/cfg"
 )
@@ -217,11 +216,11 @@ func lockCall(info *types.Info, call *ast.CallExpr) (Key, bool, bool) {
 	return key, acquire, true
 }
 
-// HeldAt returns the must-held lockset at a source position: the state
-// recorded for the innermost statement or branch condition containing
-// it. Positions outside any recorded span (dead code) report nothing
-// held.
-func (li *LockInfo) HeldAt(pos token.Pos) []Key {
+// Holds reports whether the named lock is must-held at pos: in the
+// state recorded for the innermost statement or branch condition
+// containing it. Positions outside any recorded span (dead code) hold
+// nothing.
+func (li *LockInfo) Holds(pos token.Pos, key Key) bool {
 	var best *lockSpan
 	for i := range li.spans {
 		sp := &li.spans[i]
@@ -233,23 +232,9 @@ func (li *LockInfo) HeldAt(pos token.Pos) []Key {
 		}
 	}
 	if best == nil || best.held.all {
-		return nil
+		return false
 	}
-	ids := make([]string, 0, len(best.held.m))
-	for id := range best.held.m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]Key, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, best.held.m[id])
-	}
-	return out
-}
-
-// Holds reports whether the named lock is held at pos.
-func (li *LockInfo) Holds(pos token.Pos, key Key) bool {
-	for _, k := range li.HeldAt(pos) {
+	for _, k := range best.held.m {
 		if k == key {
 			return true
 		}

@@ -3,7 +3,7 @@
 // by //bflint:ignore comments, and the shared run loop used by both the
 // standalone cmd/bflint driver and its `go vet -vettool` mode.
 //
-// The suite enforces three repo-wide contracts that previously existed
+// The suite enforces two repo-wide contracts that previously existed
 // only by convention:
 //
 //   - determinism: simulators are functions of (params, seed) alone
@@ -11,8 +11,6 @@
 //     forbids order-sensitive work under Go's randomized map order);
 //   - conservation: every packet lands in exactly one accounting bucket
 //     (conscount restricts counter writes to the owning package);
-//   - facade: blessed internal packages stay fully re-exported through
-//     the root bfvlsi package (facadecheck);
 //
 // plus the CLI error-path audit (errflush) for flush/close paths, and —
 // on the internal/lint/cfg control-flow graphs and the
@@ -37,7 +35,6 @@ import (
 	"bfvlsi/internal/lint/conscount"
 	"bfvlsi/internal/lint/detrand"
 	"bfvlsi/internal/lint/errflush"
-	"bfvlsi/internal/lint/facadecheck"
 	"bfvlsi/internal/lint/lockcheck"
 	"bfvlsi/internal/lint/maporder"
 )
@@ -86,7 +83,6 @@ func Suite() []*analysis.Analyzer {
 		detrand.Analyzer,
 		maporder.Analyzer,
 		conscount.Analyzer,
-		facadecheck.Analyzer,
 		errflush.Analyzer,
 		lockcheck.Analyzer,
 	}
@@ -108,9 +104,6 @@ func AnalyzersFor(pkgPath string) []*analysis.Analyzer {
 	// as its least deterministic caller, and any package may annotate a
 	// //bflint:guardedby field.
 	out = append(out, maporder.Analyzer, conscount.Analyzer, lockcheck.Analyzer)
-	if pkgPath == modulePath {
-		out = append(out, facadecheck.Analyzer)
-	}
 	if strings.HasPrefix(pkgPath, modulePath+"/cmd/") ||
 		strings.HasPrefix(pkgPath, modulePath+"/examples/") ||
 		strings.HasPrefix(pkgPath, modulePath+"/internal/experiments") ||

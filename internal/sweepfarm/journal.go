@@ -179,6 +179,13 @@ func ReadJournal(path string) ([]Point, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	pts, off := readJournal(b)
+	return pts, off, nil
+}
+
+// readJournal decodes the complete records at the front of a journal's
+// bytes and returns them with the offset just past the last one.
+func readJournal(b []byte) ([]Point, int64) {
 	var pts []Point
 	var off int64
 	for int(off) < len(b) {
@@ -197,7 +204,7 @@ func ReadJournal(path string) ([]Point, int64, error) {
 		pts = append(pts, p)
 		off = start + int64(n)
 	}
-	return pts, off, nil
+	return pts, off
 }
 
 // uvarintLen returns the minimal encoded length of v; ReadJournal

@@ -2,6 +2,7 @@ package sweepfarm
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,11 +35,13 @@ func completeJournal(t *testing.T) ([]byte, []Point) {
 }
 
 // TestJournalRecoveryAllTruncations is the torn-tail recovery property:
-// for EVERY truncation length of a complete journal, ReadJournal
-// returns exactly the records that lie fully inside the prefix, stops
-// at the last record boundary at or before the cut, and never errors.
-// A torn tail at any byte is indistinguishable from a crash mid-append,
-// so this sweeps the whole crash surface.
+// for EVERY truncation length of a complete journal, the reader returns
+// exactly the records that lie fully inside the prefix, stops at the
+// last record boundary at or before the cut, and never errors. A torn
+// tail at any byte is indistinguishable from a crash mid-append, so
+// this sweeps the whole crash surface. Every cut goes through the
+// byte-slice core; the empty, mid-record and complete cuts also go
+// through ReadJournal on disk.
 func TestJournalRecoveryAllTruncations(t *testing.T) {
 	raw, full := completeJournal(t)
 
@@ -59,16 +62,8 @@ func TestJournalRecoveryAllTruncations(t *testing.T) {
 		t.Fatalf("re-encoded journal differs from the file")
 	}
 
-	dir := t.TempDir()
-	for cut := 0; cut <= len(raw); cut++ {
-		path := filepath.Join(dir, "torn.bin")
-		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		pts, valid, err := ReadJournal(path)
-		if err != nil {
-			t.Fatalf("cut %d: ReadJournal: %v", cut, err)
-		}
+	check := func(cut int, pts []Point, valid int64) {
+		t.Helper()
 		wantN := 0
 		var wantValid int64
 		for i, b := range boundaries {
@@ -84,6 +79,23 @@ func TestJournalRecoveryAllTruncations(t *testing.T) {
 		if wantN > 0 && !reflect.DeepEqual(pts, full[:wantN]) {
 			t.Fatalf("cut %d: recovered points differ from the journal prefix", cut)
 		}
+	}
+	for cut := 0; cut <= len(raw); cut++ {
+		pts, valid := readJournal(raw[:cut])
+		check(cut, pts, valid)
+	}
+
+	dir := t.TempDir()
+	for _, cut := range []int{0, int(boundaries[0]) / 2, len(raw)} {
+		path := filepath.Join(dir, fmt.Sprintf("torn-%d.bin", cut))
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pts, valid, err := ReadJournal(path)
+		if err != nil {
+			t.Fatalf("cut %d: ReadJournal: %v", cut, err)
+		}
+		check(cut, pts, valid)
 	}
 }
 
