@@ -25,35 +25,19 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"bfvlsi/internal/dispatch"
-	"bfvlsi/internal/snapshot"
 	"bfvlsi/internal/sweepfarm"
-	"bfvlsi/internal/wire"
 )
 
 // options carries every flag value. Parsing and validation are pure (no
 // exits, no prints): main turns a validation error into the exit-2
 // usage path, and the tests drive the same code with table argv lists.
 type options struct {
-	// sweep shape (mirrors bfsweep)
-	dim        int
-	lambda     float64
-	warmup     int
-	cycles     int
-	seed       int64
-	buffers    int
-	ttl        int
-	reliable   bool
-	adaptive   bool
-	rates      string
-	faultSeeds string
-	control    bool
-	fork       int
+	// sweep shape, shared with bfsweep
+	grid sweepfarm.Grid
 
 	// fleet and reliability knobs
 	workers    string
@@ -71,28 +55,13 @@ type options struct {
 	cooldown   time.Duration
 	statsAddr  string
 
-	rateList   []float64
-	seedList   []int64
 	workerList []string
 }
 
 // newOptions registers every flag on the given set.
 func newOptions(set *flag.FlagSet) *options {
 	o := &options{}
-	set.IntVar(&o.dim, "n", 6, "butterfly dimension")
-	set.Float64Var(&o.lambda, "lambda", 0.1, "per-node injection probability")
-	set.IntVar(&o.warmup, "warmup", 200, "warmup cycles")
-	set.IntVar(&o.cycles, "cycles", 600, "measured cycles")
-	set.Int64Var(&o.seed, "seed", 1, "traffic seed")
-	set.IntVar(&o.buffers, "buffers", 4, "per-link buffer limit (0 = unbounded)")
-	set.IntVar(&o.ttl, "ttl", 0, "packet TTL (0 = default for faulted runs)")
-	set.BoolVar(&o.reliable, "reliable", false, "layer the reliable transport over every run")
-	set.BoolVar(&o.adaptive, "adaptive", false, "use the adaptive fault-aware router")
-	set.StringVar(&o.rates, "rates", "0.01,0.02,0.05", "comma-separated link fault rates")
-	set.StringVar(&o.faultSeeds, "faultseeds", "1,2,3", "comma-separated fault-plan seeds")
-	set.BoolVar(&o.control, "control", true, "include a fault-free control point")
-	set.IntVar(&o.fork, "fork", -1, "fork cycle for the warmed-up checkpoint (-1 = end of warmup)")
-
+	o.grid.RegisterFlags(set)
 	set.StringVar(&o.workers, "workers", "", "comma-separated bfserve worker base URLs (required)")
 	set.StringVar(&o.journalDir, "journaldir", "", "per-worker journal directory (empty = not resumable)")
 	set.IntVar(&o.inflight, "inflight", 0, "concurrently leased queries (0 = twice the worker count)")
@@ -112,37 +81,9 @@ func newOptions(set *flag.FlagSet) *options {
 
 // validate audits flag ranges and parses the list-valued flags.
 func (o *options) validate() error {
-	if o.dim < 1 || o.dim > 14 {
-		return fmt.Errorf("-n %d out of range [1,14]", o.dim)
+	if err := o.grid.Validate(); err != nil {
+		return err
 	}
-	if o.lambda <= 0 || o.lambda > 1 {
-		return fmt.Errorf("-lambda %v outside (0,1]", o.lambda)
-	}
-	if o.warmup < 0 || o.cycles <= 0 {
-		return fmt.Errorf("-warmup %d / -cycles %d invalid", o.warmup, o.cycles)
-	}
-	if o.buffers < 0 || o.ttl < 0 {
-		return fmt.Errorf("-buffers %d / -ttl %d negative", o.buffers, o.ttl)
-	}
-	if o.fork < -1 || o.fork > o.warmup+o.cycles {
-		return fmt.Errorf("-fork %d outside [0,%d]", o.fork, o.warmup+o.cycles)
-	}
-	var err error
-	if o.rateList, err = parseFloats(o.rates); err != nil {
-		return fmt.Errorf("-rates: %w", err)
-	}
-	for _, r := range o.rateList {
-		if r <= 0 || r >= 1 {
-			return fmt.Errorf("-rates: rate %v outside (0,1)", r)
-		}
-	}
-	if o.seedList, err = parseInts(o.faultSeeds); err != nil {
-		return fmt.Errorf("-faultseeds: %w", err)
-	}
-	if len(o.rateList)*len(o.seedList) == 0 && !o.control {
-		return fmt.Errorf("no sweep points: empty -rates or -faultseeds and -control=false")
-	}
-
 	for _, part := range strings.Split(o.workers, ",") {
 		if part = strings.TrimSpace(part); part != "" {
 			o.workerList = append(o.workerList, part)
@@ -172,82 +113,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("-breaker %d must be at least 1", o.breaker)
 	}
 	return nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// pointLabel describes one sweep point for the report table.
-type pointLabel struct {
-	rate float64
-	seed int64
-}
-
-// farmSpec assembles the sweepfarm spec and the per-point labels,
-// identically to bfsweep — the two commands must agree on the spec for
-// their reports to agree on the bytes.
-func (o *options) farmSpec() (sweepfarm.Spec, []pointLabel) {
-	base := snapshot.Spec{
-		Route: wire.RouteSpec{
-			N: o.dim, Lambda: o.lambda, Warmup: o.warmup, Cycles: o.cycles,
-			Seed: o.seed, BufferLimit: o.buffers, TTL: o.ttl,
-		},
-	}
-	if o.reliable {
-		base.Reliable = &snapshot.ReliableSpec{
-			Timeout: 4 * o.dim, MaxRetries: 5, Jitter: 3, Seed: o.seed + 1,
-			MeasureFrom: o.warmup,
-		}
-	}
-	if o.adaptive {
-		base.Adaptive = &snapshot.AdaptiveSpec{Seed: o.seed + 2}
-	}
-	fork := o.fork
-	if fork < 0 {
-		fork = o.warmup
-	}
-	var points []*wire.FaultSpec
-	var labels []pointLabel
-	if o.control {
-		points = append(points, nil)
-		labels = append(labels, pointLabel{})
-	}
-	for _, rate := range o.rateList {
-		for _, seed := range o.seedList {
-			points = append(points, &wire.FaultSpec{N: o.dim, LinkRate: rate, Seed: seed})
-			labels = append(labels, pointLabel{rate: rate, seed: seed})
-		}
-	}
-	return sweepfarm.Spec{Base: base, ForkCycle: fork, Points: points}, labels
 }
 
 // dispatchConfig assembles the coordinator config from the flags.
@@ -298,7 +163,7 @@ func serveStats(addr string, live *dispatch.Live) (bound string, stop func(), er
 // run executes the distributed farm and writes the report table plus a
 // fleet summary; it returns the process exit code.
 func run(o *options, stdout, stderr io.Writer) int {
-	spec, labels := o.farmSpec()
+	spec := o.grid.Spec()
 	cfg := o.dispatchConfig()
 	if o.statsAddr != "" {
 		cfg.Live = dispatch.NewLive()
@@ -316,23 +181,8 @@ func run(o *options, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "B_%d lambda=%.4f, %d points (%d from journals), fork at cycle %d, %d workers\n",
-		o.dim, o.lambda, len(rep.Points), rep.Resumed, spec.ForkCycle, len(o.workerList))
-	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "point\trate\tseed\tthroughput\tdelivered\tdropped\tunreachable\tretransmit\tgaveup\n")
-	for _, p := range rep.Points {
-		l := labels[p.Index]
-		r := p.Result
-		scenario := "control"
-		seed := "-"
-		if l.rate > 0 {
-			scenario = fmt.Sprintf("%.4f", l.rate)
-			seed = strconv.FormatInt(l.seed, 10)
-		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%.4f\t%d\t%d\t%d\t%d\t%d\n",
-			p.Index, scenario, seed, r.Throughput, r.Delivered, r.Dropped,
-			r.Unreachable, r.Retransmitted, r.GaveUp)
-	}
-	if err := w.Flush(); err != nil {
+		o.grid.Dim, o.grid.Lambda, len(rep.Points), rep.Resumed, spec.ForkCycle, len(o.workerList))
+	if err := rep.WriteTable(stdout, spec.Points); err != nil {
 		fmt.Fprintln(stderr, "bffarm:", err)
 		return 1
 	}

@@ -140,7 +140,7 @@ func TestFarmEndToEnd(t *testing.T) {
 	}
 
 	// The distributed report and the serial farm agree byte for byte.
-	spec, _ := o.farmSpec()
+	spec := o.grid.Spec()
 	rep, err := sweepfarm.Run(spec, sweepfarm.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("serial run: %v", err)

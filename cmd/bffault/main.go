@@ -192,7 +192,7 @@ func (o *options) validate() error {
 	if o.killModules < 0 {
 		return fmt.Errorf("-killmodules %d is negative", o.killModules)
 	}
-	if _, err := parsePolicy(o.policy); err != nil {
+	if _, err := routing.ParsePolicy(o.policy); err != nil {
 		return err
 	}
 	switch o.scheme {
@@ -342,7 +342,7 @@ func (o *options) adaptiveConfig() adaptive.Config {
 }
 
 func (o *options) baseParams() routing.Params {
-	pol, err := parsePolicy(o.policy)
+	pol, err := routing.ParsePolicy(o.policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -362,17 +362,6 @@ func usageError(set *flag.FlagSet, err error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "bffault:", err)
 	os.Exit(1)
-}
-
-func parsePolicy(s string) (routing.Policy, error) {
-	switch s {
-	case "misroute":
-		return routing.Misroute, nil
-	case "drop", "dropdead":
-		return routing.DropDead, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want misroute or drop)", s)
-	}
 }
 
 func parseFloats(s string) ([]float64, error) {

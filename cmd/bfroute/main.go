@@ -67,7 +67,7 @@ func validateFlags() {
 func main() {
 	flag.Parse()
 	validateFlags()
-	pat, err := parsePattern(*pattern)
+	pat, err := routing.ParsePattern(*pattern)
 	if err != nil {
 		usageError("%v", err)
 	}
@@ -78,23 +78,6 @@ func main() {
 		runSweep(pat)
 	default:
 		runOnce(pat)
-	}
-}
-
-func parsePattern(s string) (routing.Pattern, error) {
-	switch s {
-	case "uniform":
-		return routing.Uniform, nil
-	case "bitrev", "bit-reverse":
-		return routing.BitReverse, nil
-	case "transpose":
-		return routing.Transpose, nil
-	case "complement":
-		return routing.Complement, nil
-	case "shuffle":
-		return routing.Shuffle, nil
-	default:
-		return 0, fmt.Errorf("unknown pattern %q", s)
 	}
 }
 

@@ -47,18 +47,28 @@ func TestFarmSpecShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	spec, labels := o.farmSpec()
-	if want := 1 + 2*3; len(spec.Points) != want || len(labels) != want {
-		t.Fatalf("got %d points / %d labels, want %d", len(spec.Points), len(labels), want)
+	spec := o.grid.Spec()
+	if want := 1 + 2*3; len(spec.Points) != want {
+		t.Fatalf("got %d points, want %d", len(spec.Points), want)
 	}
 	if spec.Points[0] != nil {
 		t.Fatalf("first point is not the fault-free control")
 	}
+	// The table labels each point with its rate and seed: rates
+	// outermost, in flag order.
+	for i, want := range []struct {
+		rate float64
+		seed int64
+	}{{0.02, 1}, {0.02, 2}, {0.02, 3}, {0.05, 1}, {0.05, 2}, {0.05, 3}} {
+		if pt := spec.Points[1+i]; pt.LinkRate != want.rate || pt.Seed != want.seed {
+			t.Fatalf("point %d is rate %v seed %d, want rate %v seed %d", 1+i, pt.LinkRate, pt.Seed, want.rate, want.seed)
+		}
+	}
 	if spec.Base.Reliable == nil || spec.Base.Adaptive == nil {
 		t.Fatalf("-reliable/-adaptive did not attach the hooks")
 	}
-	if spec.ForkCycle != o.warmup {
-		t.Fatalf("default fork cycle %d, want end of warmup %d", spec.ForkCycle, o.warmup)
+	if spec.ForkCycle != o.grid.Warmup {
+		t.Fatalf("default fork cycle %d, want end of warmup %d", spec.ForkCycle, o.grid.Warmup)
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("assembled spec invalid: %v", err)

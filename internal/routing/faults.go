@@ -8,6 +8,8 @@ package routing
 // nodes and boundary links die together - and the FaultModel interface is
 // wide enough to express that without this package knowing about modules.
 
+import "fmt"
+
 // FaultModel supplies the simulator's view of which nodes and directed
 // links are dead during each cycle. The simulator calls BeginCycle exactly
 // once per simulated cycle (warmup included, cycle 0 first) and then
@@ -56,6 +58,19 @@ func (p Policy) String() string {
 		return "drop"
 	default:
 		return "policy(?)"
+	}
+}
+
+// ParsePolicy is the inverse of Policy.String; it also accepts
+// "dropdead" for DropDead.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "misroute":
+		return Misroute, nil
+	case "drop", "dropdead":
+		return DropDead, nil
+	default:
+		return 0, fmt.Errorf("unknown policy %q (want misroute or drop)", s)
 	}
 }
 

@@ -51,6 +51,20 @@ func (p Pattern) String() string {
 	}
 }
 
+// ParsePattern is the inverse of Pattern.String; it also accepts
+// "bitrev" for BitReverse.
+func ParsePattern(s string) (Pattern, error) {
+	if s == "bitrev" {
+		return BitReverse, nil
+	}
+	for p := Uniform; p.Valid(); p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown traffic pattern %q (want uniform, bit-reverse, transpose, complement, or shuffle)", s)
+}
+
 // destFor returns the destination of a packet injected at (row, col)
 // under the valid pattern p.
 func destFor(p Pattern, n, rows, row, col int, rng *detrng.Source) (dr, dc int) {

@@ -80,6 +80,37 @@ func TestPatternStrings(t *testing.T) {
 	}
 }
 
+// ParsePattern and ParsePolicy take back every name String gives, plus
+// the two aliases, and nothing else.
+func TestParsePatternAndPolicy(t *testing.T) {
+	for p := Uniform; p.Valid(); p++ {
+		if got, err := ParsePattern(p.String()); err != nil || got != p {
+			t.Errorf("ParsePattern(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	for _, p := range []Policy{Misroute, DropDead} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if got, err := ParsePattern("bitrev"); err != nil || got != BitReverse {
+		t.Errorf("ParsePattern(bitrev) = %v, %v", got, err)
+	}
+	if got, err := ParsePolicy("dropdead"); err != nil || got != DropDead {
+		t.Errorf("ParsePolicy(dropdead) = %v, %v", got, err)
+	}
+	for _, s := range []string{"", "zigzag", "Uniform", "pattern(5)"} {
+		if _, err := ParsePattern(s); err == nil {
+			t.Errorf("ParsePattern(%q) accepted", s)
+		}
+	}
+	for _, s := range []string{"", "teleport", "policy(?)"} {
+		if _, err := ParsePolicy(s); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", s)
+		}
+	}
+}
+
 func TestSimulatePatternConservation(t *testing.T) {
 	for _, p := range []Pattern{Uniform, BitReverse, Transpose, Complement, Shuffle} {
 		r, err := SimulatePattern(Params{

@@ -441,32 +441,22 @@ type routeRequest struct {
 	Fault       *faultRequest `json:"fault,omitempty"`
 }
 
-func parsePattern(s string) (routing.Pattern, error) {
-	switch s {
-	case "", "uniform":
-		return routing.Uniform, nil
-	case "bit-reverse":
-		return routing.BitReverse, nil
-	case "transpose":
-		return routing.Transpose, nil
-	case "complement":
-		return routing.Complement, nil
-	case "shuffle":
-		return routing.Shuffle, nil
-	default:
-		return 0, fmt.Errorf("unknown traffic pattern %q (want uniform, bit-reverse, transpose, complement, or shuffle)", s)
+// parseRouting parses a request's traffic pattern and dead-link policy;
+// an empty field selects uniform traffic and misrouting.
+func parseRouting(pattern, policy string) (routing.Pattern, routing.Policy, error) {
+	pat, pol := routing.Uniform, routing.Misroute
+	var err error
+	if pattern != "" {
+		if pat, err = routing.ParsePattern(pattern); err != nil {
+			return 0, 0, err
+		}
 	}
-}
-
-func parsePolicy(s string) (routing.Policy, error) {
-	switch s {
-	case "", "misroute":
-		return routing.Misroute, nil
-	case "drop", "dropdead":
-		return routing.DropDead, nil
-	default:
-		return 0, fmt.Errorf("unknown dead-link policy %q (want misroute or drop)", s)
+	if policy != "" {
+		if pol, err = routing.ParsePolicy(policy); err != nil {
+			return 0, 0, err
+		}
 	}
+	return pat, pol, nil
 }
 
 func (f *faultRequest) toWire(n int) *wire.FaultSpec {
@@ -488,11 +478,7 @@ func (s *Server) parseRoute(r *http.Request) (*spec, error) {
 	if err := decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	pattern, err := parsePattern(req.Pattern)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	policy, err := parsePolicy(req.Policy)
+	pattern, policy, err := parseRouting(req.Pattern, req.Policy)
 	if err != nil {
 		return nil, badRequest(err)
 	}
@@ -606,11 +592,7 @@ type checkpointResponse struct {
 // snapshotSpec assembles the internal/snapshot spec a checkpoint
 // request describes.
 func (req *checkpointRequest) snapshotSpec() (snapshot.Spec, error) {
-	pattern, err := parsePattern(req.Pattern)
-	if err != nil {
-		return snapshot.Spec{}, err
-	}
-	policy, err := parsePolicy(req.Policy)
+	pattern, policy, err := parseRouting(req.Pattern, req.Policy)
 	if err != nil {
 		return snapshot.Spec{}, err
 	}

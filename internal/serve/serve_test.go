@@ -81,6 +81,8 @@ func TestEndpoints(t *testing.T) {
 		{"route ok", "/v1/route", `{"n":3,"lambda":0.05,"warmup":20,"cycles":100,"seed":1}`, 200, `"Delivered"`},
 		{"route shuffle drop ok", "/v1/route", `{"n":3,"lambda":0.05,"cycles":100,"pattern":"shuffle","policy":"drop"}`, 200, `"Throughput"`},
 		{"route faulted ok", "/v1/route", `{"n":3,"lambda":0.05,"cycles":100,"fault":{"linkRate":0.05,"seed":2}}`, 200, `"Dropped"`},
+		{"route bitrev dropdead ok", "/v1/route", `{"n":3,"lambda":0.05,"cycles":100,"pattern":"bitrev","policy":"dropdead"}`, 200, `"Throughput"`},
+		{"route bad policy", "/v1/route", `{"n":3,"lambda":0.05,"cycles":100,"policy":"teleport"}`, 400, "unknown policy"},
 		{"route bad pattern", "/v1/route", `{"n":3,"lambda":0.05,"cycles":100,"pattern":"zigzag"}`, 400, "unknown traffic pattern"},
 		{"route lambda out of range", "/v1/route", `{"n":3,"lambda":1.5,"cycles":100}`, 400, "lambda"},
 		{"route n over cap", "/v1/route", `{"n":9,"lambda":0.05,"cycles":100}`, 400, "exceeds this server's cap"},

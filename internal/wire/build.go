@@ -39,7 +39,8 @@ func (s *LayoutSpec) Build() (*LayoutResult, error) {
 	return nil, fmt.Errorf("wire: unknown layout family %d", int(s.Family))
 }
 
-// sortExtras orders the metric list by name, the canonical wire order.
+// sortExtras orders the metric list by name, so every result lists its
+// extras in one order.
 func sortExtras(extras []Extra) []Extra {
 	sort.Slice(extras, func(i, j int) bool { return extras[i].Name < extras[j].Name })
 	return extras

@@ -125,50 +125,50 @@ func (s *FaultSpec) MarshalBinary() ([]byte, error) {
 	if len(s.Events) > maxFaultEvents {
 		return nil, fmt.Errorf("wire: fault spec has %d events, cap is %d", len(s.Events), maxFaultEvents)
 	}
-	e := newEnc(TypeFaultSpec, VersionFaultSpec)
+	e := NewEncoder(TypeFaultSpec, VersionFaultSpec)
 	s.encodeBody(e)
 	return e.buf, nil
 }
 
 // encodeBody appends the spec's body fields; shared with RouteSpec,
 // which nests a fault spec.
-func (s *FaultSpec) encodeBody(e *enc) {
-	e.uint(s.N)
-	e.float64(s.LinkRate)
-	e.float64(s.NodeRate)
-	e.varint(s.Seed)
-	e.uint(s.TransientCount)
-	e.uint(s.TransientHorizon)
-	e.uint(s.TransientRepair)
-	e.uint(len(s.Events))
+func (s *FaultSpec) encodeBody(e *Encoder) {
+	e.Uint(s.N)
+	e.Float64(s.LinkRate)
+	e.Float64(s.NodeRate)
+	e.Varint(s.Seed)
+	e.Uint(s.TransientCount)
+	e.Uint(s.TransientHorizon)
+	e.Uint(s.TransientRepair)
+	e.Uint(len(s.Events))
 	for _, ev := range s.Events {
-		e.uint(ev.Node)
-		e.int(ev.Out)
-		e.uint(ev.Start)
-		e.uint(ev.RepairAfter)
+		e.Uint(ev.Node)
+		e.Int(ev.Out)
+		e.Uint(ev.Start)
+		e.Uint(ev.RepairAfter)
 	}
 }
 
 // decodeBody reads the spec's body fields; shared with RouteSpec.
-func (s *FaultSpec) decodeBody(d *dec) {
-	s.N = d.uint()
-	s.LinkRate = d.float64()
-	s.NodeRate = d.float64()
-	s.Seed = d.varint()
-	s.TransientCount = d.uint()
-	s.TransientHorizon = d.uint()
-	s.TransientRepair = d.uint()
-	count := d.listLen(4)
+func (s *FaultSpec) decodeBody(d *Decoder) {
+	s.N = d.Uint()
+	s.LinkRate = d.Float64()
+	s.NodeRate = d.Float64()
+	s.Seed = d.Varint()
+	s.TransientCount = d.Uint()
+	s.TransientHorizon = d.Uint()
+	s.TransientRepair = d.Uint()
+	count := d.ListLen(4)
 	if d.err == nil && count > maxFaultEvents {
 		d.fail(fmt.Errorf("%w: %d fault events, cap is %d", ErrRange, count, maxFaultEvents))
 		return
 	}
 	for i := 0; i < count && d.err == nil; i++ {
 		ev := FaultEvent{
-			Node:        d.uint(),
-			Out:         d.int(),
-			Start:       d.uint(),
-			RepairAfter: d.uint(),
+			Node:        d.Uint(),
+			Out:         d.Int(),
+			Start:       d.Uint(),
+			RepairAfter: d.Uint(),
 		}
 		if d.err != nil {
 			break
@@ -179,10 +179,10 @@ func (s *FaultSpec) decodeBody(d *dec) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *FaultSpec) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypeFaultSpec, VersionFaultSpec)
+	d := NewDecoder(data, TypeFaultSpec, VersionFaultSpec)
 	var out FaultSpec
 	out.decodeBody(d)
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	*s = out

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding"
+	"errors"
 	"testing"
 
 	"bfvlsi/internal/routing"
@@ -12,9 +13,26 @@ import (
 // the same raw bytes to all of them.
 func decoders() []binaryCodec {
 	return []binaryCodec{
-		&Graph{}, &LayoutSpec{}, &LayoutResult{},
-		&PackagingSpec{}, &PackagingPlan{},
+		&LayoutSpec{}, &PackagingSpec{},
 		&FaultSpec{}, &RouteSpec{}, &RouteResult{}, &SweepSpec{},
+	}
+}
+
+// retiredTags are the type tags of frames no longer read: butterfly
+// graphs (1), layout results (3) and packaging plans (5).
+var retiredTags = []byte{1, 3, 5}
+
+// TestRetiredTagsRejected holds the rule that tags are never reused: a
+// frame carrying a retired tag, with the version byte its type last had
+// and one body byte, is refused as a wrong type by every decoder.
+func TestRetiredTagsRejected(t *testing.T) {
+	for _, tag := range retiredTags {
+		frame := []byte{'B', 'F', tag, 1, 0}
+		for _, d := range decoders() {
+			if err := d.UnmarshalBinary(frame); !errors.Is(err, ErrType) {
+				t.Errorf("%T decoding % x: got %v, want ErrType", d, frame, err)
+			}
+		}
 	}
 }
 
@@ -30,22 +48,18 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	g, err := GraphFromButterfly(2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	seed(g)
 	seed(&LayoutSpec{Family: FamilyCollinear, N: 4})
 	seed(&LayoutSpec{Family: FamilyThompson, Widths: []int{2, 2}})
 	seed(&PackagingSpec{N: 4, Variant: VariantNucleus})
-	seed(&PackagingPlan{Desc: "x", NumModules: 2, ModuleOf: []int{0, 1}})
 	seed(&FaultSpec{N: 3, LinkRate: 0.1, Seed: 1})
 	seed(&RouteSpec{N: 3, Lambda: 0.05, Cycles: 10, Pattern: routing.Shuffle})
 	seed(&RouteResult{Nodes: 8, Injected: 3, Delivered: 3})
 	seed(&SweepSpec{N: 3, Lambda: 0.05, Cycles: 20, Rates: []float64{0, 0.1}})
 	f.Add([]byte{})
 	f.Add([]byte{'B', 'F'})
-	f.Add([]byte{'B', 'F', TypeGraph, 1})
+	for _, tag := range retiredTags {
+		f.Add([]byte{'B', 'F', tag, 1, 0})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range decoders() {

@@ -45,7 +45,7 @@ func TestGoldenFrames(t *testing.T) {
 
 // TestSampleCoverage requires the samples to exercise every field of
 // every wire type, including the structs other packages declare
-// (graph.Edge, grid.Stats, packaging.Stats): each field is non-zero in
+// (routing.Result under RouteResult): each field is non-zero in
 // some sample, and same-typed sibling fields differ in some sample, so
 // TestRoundTripByteIdentity sees a dropped, unset or swapped field.
 func TestSampleCoverage(t *testing.T) {

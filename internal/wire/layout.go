@@ -184,47 +184,47 @@ func (s *LayoutSpec) MarshalBinary() ([]byte, error) {
 	if len(s.Widths) > maxSpecWidths {
 		return nil, fmt.Errorf("wire: layout spec has %d group widths, cap is %d", len(s.Widths), maxSpecWidths)
 	}
-	e := newEnc(TypeLayoutSpec, VersionLayoutSpec)
-	e.uint(int(s.Family))
-	e.uint(s.N)
-	e.uint(len(s.Widths))
+	e := NewEncoder(TypeLayoutSpec, VersionLayoutSpec)
+	e.Uint(int(s.Family))
+	e.Uint(s.N)
+	e.Uint(len(s.Widths))
 	for _, w := range s.Widths {
 		if w < 0 {
 			return nil, fmt.Errorf("wire: negative group width %d", w)
 		}
-		e.uint(w)
+		e.Uint(w)
 	}
-	e.uint(s.Layers)
-	e.bool(s.Multilayer)
-	e.uint(s.NodeSide)
-	e.bool(s.NoTrackReorder)
-	e.uint(s.SliceLayers)
-	e.uint(s.MaxPins)
-	e.uint(s.ChipSide)
+	e.Uint(s.Layers)
+	e.Bool(s.Multilayer)
+	e.Uint(s.NodeSide)
+	e.Bool(s.NoTrackReorder)
+	e.Uint(s.SliceLayers)
+	e.Uint(s.MaxPins)
+	e.Uint(s.ChipSide)
 	return e.buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *LayoutSpec) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypeLayoutSpec, VersionLayoutSpec)
+	d := NewDecoder(data, TypeLayoutSpec, VersionLayoutSpec)
 	var out LayoutSpec
-	out.Family = Family(d.uint())
-	out.N = d.uint()
-	count := d.listLen(1)
+	out.Family = Family(d.Uint())
+	out.N = d.Uint()
+	count := d.ListLen(1)
 	if d.err == nil && count > maxSpecWidths {
 		d.fail(fmt.Errorf("%w: %d group widths, cap is %d", ErrRange, count, maxSpecWidths))
 	}
 	for i := 0; i < count && d.err == nil; i++ {
-		out.Widths = append(out.Widths, d.uint())
+		out.Widths = append(out.Widths, d.Uint())
 	}
-	out.Layers = d.uint()
-	out.Multilayer = d.bool()
-	out.NodeSide = d.uint()
-	out.NoTrackReorder = d.bool()
-	out.SliceLayers = d.uint()
-	out.MaxPins = d.uint()
-	out.ChipSide = d.uint()
-	if err := d.finish(); err != nil {
+	out.Layers = d.Uint()
+	out.Multilayer = d.Bool()
+	out.NodeSide = d.Uint()
+	out.NoTrackReorder = d.Bool()
+	out.SliceLayers = d.Uint()
+	out.MaxPins = d.Uint()
+	out.ChipSide = d.Uint()
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	*s = out
@@ -237,97 +237,12 @@ type Extra struct {
 	Value int64
 }
 
-// LayoutResult is the wire form of a built layout: the measured
-// grid-model statistics plus family-specific extras (track counts,
-// block geometry, chip counts), sorted by name.
+// LayoutResult summarizes a built layout: the measured grid-model
+// statistics plus family-specific extras (track counts, block geometry,
+// chip counts), sorted by name. It is an answer, not a frame: serve
+// returns it as JSON.
 type LayoutResult struct {
 	Family Family
 	Stats  grid.Stats
 	Extras []Extra
-}
-
-// Extra returns the named metric and whether it is present.
-func (r *LayoutResult) Extra(name string) (int64, bool) {
-	for _, x := range r.Extras {
-		if x.Name == name {
-			return x.Value, true
-		}
-	}
-	return 0, false
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler. Extras must be
-// strictly sorted by name.
-func (r *LayoutResult) MarshalBinary() ([]byte, error) {
-	if r.Family < 0 {
-		return nil, fmt.Errorf("wire: negative layout family")
-	}
-	st := r.Stats
-	for _, v := range []int{st.Width, st.Height, st.Layers, st.MaxWireLength, st.Wires, st.Nodes, st.Vias} {
-		if v < 0 {
-			return nil, fmt.Errorf("wire: negative layout stat")
-		}
-	}
-	if st.Area < 0 || st.Volume < 0 || st.TotalWireLength < 0 {
-		return nil, fmt.Errorf("wire: negative layout stat")
-	}
-	e := newEnc(TypeLayoutResult, VersionLayoutResult)
-	e.uint(int(r.Family))
-	e.uint(st.Width)
-	e.uint(st.Height)
-	e.uvarint(uint64(st.Area))
-	e.uvarint(uint64(st.Volume))
-	e.uint(st.Layers)
-	e.uint(st.MaxWireLength)
-	e.uvarint(uint64(st.TotalWireLength))
-	e.uint(st.Wires)
-	e.uint(st.Nodes)
-	e.uint(st.Vias)
-	e.uint(len(r.Extras))
-	for i, x := range r.Extras {
-		if i > 0 && r.Extras[i-1].Name >= x.Name {
-			return nil, fmt.Errorf("wire: layout extras not strictly sorted at %q", x.Name)
-		}
-		e.string(x.Name)
-		e.varint(x.Value)
-	}
-	return e.buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *LayoutResult) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypeLayoutResult, VersionLayoutResult)
-	var out LayoutResult
-	out.Family = Family(d.uint())
-	out.Stats.Width = d.uint()
-	out.Stats.Height = d.uint()
-	out.Stats.Area = int64(d.uvarint())
-	out.Stats.Volume = int64(d.uvarint())
-	out.Stats.Layers = d.uint()
-	out.Stats.MaxWireLength = d.uint()
-	out.Stats.TotalWireLength = int64(d.uvarint())
-	out.Stats.Wires = d.uint()
-	out.Stats.Nodes = d.uint()
-	out.Stats.Vias = d.uint()
-	if d.err == nil && (out.Stats.Area < 0 || out.Stats.Volume < 0 || out.Stats.TotalWireLength < 0) {
-		d.fail(fmt.Errorf("%w: layout stat overflows int64", ErrRange))
-	}
-	count := d.listLen(2)
-	for i := 0; i < count && d.err == nil; i++ {
-		name := d.string()
-		val := d.varint()
-		if d.err != nil {
-			break
-		}
-		if len(out.Extras) > 0 && out.Extras[len(out.Extras)-1].Name >= name {
-			d.fail(fmt.Errorf("%w: layout extras not strictly sorted at %q", ErrCanonical, name))
-			break
-		}
-		out.Extras = append(out.Extras, Extra{Name: name, Value: val})
-	}
-	if err := d.finish(); err != nil {
-		return err
-	}
-	*r = out
-	return nil
 }

@@ -84,96 +84,33 @@ func (s *PackagingSpec) MarshalBinary() ([]byte, error) {
 	if s.N < 0 || s.Variant < 0 || s.RowsPerModule < 0 {
 		return nil, fmt.Errorf("wire: packaging spec has negative fields")
 	}
-	e := newEnc(TypePackagingSpec, VersionPackagingSpec)
-	e.uint(s.N)
-	e.uint(int(s.Variant))
-	e.uint(s.RowsPerModule)
+	e := NewEncoder(TypePackagingSpec, VersionPackagingSpec)
+	e.Uint(s.N)
+	e.Uint(int(s.Variant))
+	e.Uint(s.RowsPerModule)
 	return e.buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *PackagingSpec) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypePackagingSpec, VersionPackagingSpec)
+	d := NewDecoder(data, TypePackagingSpec, VersionPackagingSpec)
 	var out PackagingSpec
-	out.N = d.uint()
-	out.Variant = Variant(d.uint())
-	out.RowsPerModule = d.uint()
-	if err := d.finish(); err != nil {
+	out.N = d.Uint()
+	out.Variant = Variant(d.Uint())
+	out.RowsPerModule = d.Uint()
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	*s = out
 	return nil
 }
 
-// PackagingPlan is the wire form of a computed partition: the module
-// assignment of every node plus the measured packaging statistics.
+// PackagingPlan summarizes a computed partition: the module assignment
+// of every node plus the measured packaging statistics. Like
+// LayoutResult it is answered as JSON, never framed.
 type PackagingPlan struct {
 	Desc       string
 	NumModules int
 	ModuleOf   []int
 	Stats      packaging.Stats
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p *PackagingPlan) MarshalBinary() ([]byte, error) {
-	if p.NumModules < 0 {
-		return nil, fmt.Errorf("wire: negative module count")
-	}
-	st := p.Stats
-	for _, v := range []int{st.NumModules, st.MinNodesPerModule, st.MaxNodesPerModule, st.MaxOffLinksPerModu, st.TotalCutLinks} {
-		if v < 0 {
-			return nil, fmt.Errorf("wire: negative packaging stat")
-		}
-	}
-	e := newEnc(TypePackagingPlan, VersionPackagingPlan)
-	e.string(p.Desc)
-	e.uint(p.NumModules)
-	e.uint(len(p.ModuleOf))
-	for i, m := range p.ModuleOf {
-		if m < 0 || m >= p.NumModules {
-			return nil, fmt.Errorf("wire: node %d assigned to module %d outside [0,%d)", i, m, p.NumModules)
-		}
-		e.uint(m)
-	}
-	e.uint(st.NumModules)
-	e.uint(st.MinNodesPerModule)
-	e.uint(st.MaxNodesPerModule)
-	e.uint(st.MaxOffLinksPerModu)
-	e.uint(st.TotalCutLinks)
-	e.float64(st.AvgOffLinksPerNode)
-	return e.buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *PackagingPlan) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypePackagingPlan, VersionPackagingPlan)
-	var out PackagingPlan
-	out.Desc = d.string()
-	out.NumModules = d.uint()
-	count := d.listLen(1)
-	if count > 0 {
-		out.ModuleOf = make([]int, 0, count)
-	}
-	for i := 0; i < count && d.err == nil; i++ {
-		m := d.uint()
-		if d.err != nil {
-			break
-		}
-		if m >= out.NumModules {
-			d.fail(fmt.Errorf("%w: node %d assigned to module %d outside [0,%d)", ErrCanonical, i, m, out.NumModules))
-			break
-		}
-		out.ModuleOf = append(out.ModuleOf, m)
-	}
-	out.Stats.NumModules = d.uint()
-	out.Stats.MinNodesPerModule = d.uint()
-	out.Stats.MaxNodesPerModule = d.uint()
-	out.Stats.MaxOffLinksPerModu = d.uint()
-	out.Stats.TotalCutLinks = d.uint()
-	out.Stats.AvgOffLinksPerNode = d.float64()
-	if err := d.finish(); err != nil {
-		return err
-	}
-	*p = out
-	return nil
 }

@@ -121,17 +121,17 @@ func (s *RouteSpec) MarshalBinary() ([]byte, error) {
 	if s.Fault != nil && len(s.Fault.Events) > maxFaultEvents {
 		return nil, fmt.Errorf("wire: fault spec has %d events, cap is %d", len(s.Fault.Events), maxFaultEvents)
 	}
-	e := newEnc(TypeRouteSpec, VersionRouteSpec)
-	e.uint(s.N)
-	e.float64(s.Lambda)
-	e.uint(s.Warmup)
-	e.uint(s.Cycles)
-	e.varint(s.Seed)
-	e.uint(s.BufferLimit)
-	e.uint(s.TTL)
-	e.uint(int(s.Pattern))
-	e.uint(int(s.Policy))
-	e.bool(s.Fault != nil)
+	e := NewEncoder(TypeRouteSpec, VersionRouteSpec)
+	e.Uint(s.N)
+	e.Float64(s.Lambda)
+	e.Uint(s.Warmup)
+	e.Uint(s.Cycles)
+	e.Varint(s.Seed)
+	e.Uint(s.BufferLimit)
+	e.Uint(s.TTL)
+	e.Uint(int(s.Pattern))
+	e.Uint(int(s.Policy))
+	e.Bool(s.Fault != nil)
 	if s.Fault != nil {
 		if s.Fault.N < 0 || s.Fault.TransientCount < 0 || s.Fault.TransientHorizon < 0 || s.Fault.TransientRepair < 0 {
 			return nil, fmt.Errorf("wire: fault spec has negative fields")
@@ -143,23 +143,23 @@ func (s *RouteSpec) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *RouteSpec) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypeRouteSpec, VersionRouteSpec)
+	d := NewDecoder(data, TypeRouteSpec, VersionRouteSpec)
 	var out RouteSpec
-	out.N = d.uint()
-	out.Lambda = d.float64()
-	out.Warmup = d.uint()
-	out.Cycles = d.uint()
-	out.Seed = d.varint()
-	out.BufferLimit = d.uint()
-	out.TTL = d.uint()
-	out.Pattern = routing.Pattern(d.uint())
-	out.Policy = routing.Policy(d.uint())
-	if d.bool() {
+	out.N = d.Uint()
+	out.Lambda = d.Float64()
+	out.Warmup = d.Uint()
+	out.Cycles = d.Uint()
+	out.Seed = d.Varint()
+	out.BufferLimit = d.Uint()
+	out.TTL = d.Uint()
+	out.Pattern = routing.Pattern(d.Uint())
+	out.Policy = routing.Policy(d.Uint())
+	if d.Bool() {
 		var fs FaultSpec
 		fs.decodeBody(d)
 		out.Fault = &fs
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	*s = out
@@ -184,69 +184,69 @@ func (r *RouteResult) MarshalBinary() ([]byte, error) {
 			return nil, fmt.Errorf("wire: route result has negative counters")
 		}
 	}
-	e := newEnc(TypeRouteResult, VersionRouteResult)
-	e.uint(r.Nodes)
-	e.uint(r.Injected)
-	e.uint(r.Delivered)
-	e.float64(r.Throughput)
-	e.float64(r.AvgLatency)
-	e.float64(r.AvgHops)
-	e.uint(r.MaxQueue)
-	e.uint(r.Backlog)
-	e.float64(r.BoundaryCrossingsPerCycle)
-	e.uint(r.InjectionDrops)
-	e.uint(r.Stalls)
-	e.uint(r.Dropped)
-	e.uint(r.Unreachable)
-	e.uint(r.Misroutes)
-	e.uint(r.Detours)
-	e.uint(r.Reroutes)
-	e.uint(r.UnreachableDead)
-	e.uint(r.UnreachableCut)
-	e.uint(r.UnreachableDetected)
-	e.uint(r.Retransmitted)
-	e.uint(r.DuplicatesDropped)
-	e.uint(r.GaveUp)
-	e.uint(r.TotalInjected)
-	e.uint(r.TotalDelivered)
+	e := NewEncoder(TypeRouteResult, VersionRouteResult)
+	e.Uint(r.Nodes)
+	e.Uint(r.Injected)
+	e.Uint(r.Delivered)
+	e.Float64(r.Throughput)
+	e.Float64(r.AvgLatency)
+	e.Float64(r.AvgHops)
+	e.Uint(r.MaxQueue)
+	e.Uint(r.Backlog)
+	e.Float64(r.BoundaryCrossingsPerCycle)
+	e.Uint(r.InjectionDrops)
+	e.Uint(r.Stalls)
+	e.Uint(r.Dropped)
+	e.Uint(r.Unreachable)
+	e.Uint(r.Misroutes)
+	e.Uint(r.Detours)
+	e.Uint(r.Reroutes)
+	e.Uint(r.UnreachableDead)
+	e.Uint(r.UnreachableCut)
+	e.Uint(r.UnreachableDetected)
+	e.Uint(r.Retransmitted)
+	e.Uint(r.DuplicatesDropped)
+	e.Uint(r.GaveUp)
+	e.Uint(r.TotalInjected)
+	e.Uint(r.TotalDelivered)
 	return e.buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (r *RouteResult) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypeRouteResult, VersionRouteResult)
+	d := NewDecoder(data, TypeRouteResult, VersionRouteResult)
 	// A keyed composite literal, not field assignments: the decoder
 	// reconstructs a result that routing's accounting already produced,
 	// and the conscount ownership contract only budges for whole-value
 	// construction. The d.* calls evaluate in lexical order, which is the
 	// encoding order.
 	out := RouteResult{
-		Nodes:                     d.uint(),
-		Injected:                  d.uint(),
-		Delivered:                 d.uint(),
-		Throughput:                d.float64(),
-		AvgLatency:                d.float64(),
-		AvgHops:                   d.float64(),
-		MaxQueue:                  d.uint(),
-		Backlog:                   d.uint(),
-		BoundaryCrossingsPerCycle: d.float64(),
-		InjectionDrops:            d.uint(),
-		Stalls:                    d.uint(),
-		Dropped:                   d.uint(),
-		Unreachable:               d.uint(),
-		Misroutes:                 d.uint(),
-		Detours:                   d.uint(),
-		Reroutes:                  d.uint(),
-		UnreachableDead:           d.uint(),
-		UnreachableCut:            d.uint(),
-		UnreachableDetected:       d.uint(),
-		Retransmitted:             d.uint(),
-		DuplicatesDropped:         d.uint(),
-		GaveUp:                    d.uint(),
-		TotalInjected:             d.uint(),
-		TotalDelivered:            d.uint(),
+		Nodes:                     d.Uint(),
+		Injected:                  d.Uint(),
+		Delivered:                 d.Uint(),
+		Throughput:                d.Float64(),
+		AvgLatency:                d.Float64(),
+		AvgHops:                   d.Float64(),
+		MaxQueue:                  d.Uint(),
+		Backlog:                   d.Uint(),
+		BoundaryCrossingsPerCycle: d.Float64(),
+		InjectionDrops:            d.Uint(),
+		Stalls:                    d.Uint(),
+		Dropped:                   d.Uint(),
+		Unreachable:               d.Uint(),
+		Misroutes:                 d.Uint(),
+		Detours:                   d.Uint(),
+		Reroutes:                  d.Uint(),
+		UnreachableDead:           d.Uint(),
+		UnreachableCut:            d.Uint(),
+		UnreachableDetected:       d.Uint(),
+		Retransmitted:             d.Uint(),
+		DuplicatesDropped:         d.Uint(),
+		GaveUp:                    d.Uint(),
+		TotalInjected:             d.Uint(),
+		TotalDelivered:            d.Uint(),
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	*r = out

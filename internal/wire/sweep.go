@@ -81,43 +81,43 @@ func (s *SweepSpec) MarshalBinary() ([]byte, error) {
 	if len(s.Rates) > maxSweepRates {
 		return nil, fmt.Errorf("wire: sweep has %d fault rates, cap is %d", len(s.Rates), maxSweepRates)
 	}
-	e := newEnc(TypeSweepSpec, VersionSweepSpec)
-	e.uint(s.N)
-	e.float64(s.Lambda)
-	e.uint(s.Warmup)
-	e.uint(s.Cycles)
-	e.varint(s.Seed)
-	e.uint(s.BufferLimit)
-	e.uint(s.TTL)
-	e.uint(len(s.Rates))
+	e := NewEncoder(TypeSweepSpec, VersionSweepSpec)
+	e.Uint(s.N)
+	e.Float64(s.Lambda)
+	e.Uint(s.Warmup)
+	e.Uint(s.Cycles)
+	e.Varint(s.Seed)
+	e.Uint(s.BufferLimit)
+	e.Uint(s.TTL)
+	e.Uint(len(s.Rates))
 	for _, r := range s.Rates {
 		if math.IsNaN(r) {
 			return nil, fmt.Errorf("wire: NaN sweep rate")
 		}
-		e.float64(r)
+		e.Float64(r)
 	}
 	return e.buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *SweepSpec) UnmarshalBinary(data []byte) error {
-	d := newDec(data, TypeSweepSpec, VersionSweepSpec)
+	d := NewDecoder(data, TypeSweepSpec, VersionSweepSpec)
 	var out SweepSpec
-	out.N = d.uint()
-	out.Lambda = d.float64()
-	out.Warmup = d.uint()
-	out.Cycles = d.uint()
-	out.Seed = d.varint()
-	out.BufferLimit = d.uint()
-	out.TTL = d.uint()
-	count := d.listLen(8)
+	out.N = d.Uint()
+	out.Lambda = d.Float64()
+	out.Warmup = d.Uint()
+	out.Cycles = d.Uint()
+	out.Seed = d.Varint()
+	out.BufferLimit = d.Uint()
+	out.TTL = d.Uint()
+	count := d.ListLen(8)
 	if d.err == nil && count > maxSweepRates {
 		d.fail(fmt.Errorf("%w: %d fault rates, cap is %d", ErrRange, count, maxSweepRates))
 	}
 	for i := 0; i < count && d.err == nil; i++ {
-		out.Rates = append(out.Rates, d.float64())
+		out.Rates = append(out.Rates, d.Float64())
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	*s = out

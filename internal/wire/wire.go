@@ -1,7 +1,12 @@
-// Package wire is the compact, versioned binary serialization layer for
-// the repository's reusable artifacts: butterfly graphs, layout specs
-// and results (collinear / thompson / stack3d / hierarchy), packaging
-// plans, fault plans, and routing results.
+// Package wire is the compact, versioned binary encoding behind the
+// repository's content addresses and persisted state. Its frames are
+// the service specs internal/serve keys its cache by (LayoutSpec,
+// PackagingSpec, FaultSpec, RouteSpec, SweepSpec), the RouteResult a
+// sweep-farm journal record embeds, and, through Encoder and Decoder,
+// the checkpoint layer's frames (the snapshot Spec and Checkpoint in
+// internal/snapshot, the SweepPoint record in internal/sweepfarm). The
+// built artifacts themselves (layouts, packaging plans) are answered as
+// JSON and have no frame.
 //
 // Every message is framed as
 //
@@ -14,8 +19,8 @@
 // varints, minimal-length zigzag varints, big-endian IEEE-754 float64s,
 // and length-prefixed byte strings. The encoding is canonical: a value
 // has exactly one valid byte representation. Decoders reject
-// non-minimal varints, NaN floats, out-of-order edge or extra lists,
-// trailing bytes, and over-long length prefixes, so for every type
+// non-minimal varints, NaN floats, trailing bytes, and over-long length
+// prefixes, so for every type
 //
 //	Unmarshal(b) == nil  =>  Marshal(Unmarshal(b)) == b
 //
@@ -31,7 +36,8 @@
 //     ones with ErrVersion - a v1 decoder never silently misreads v2
 //     bytes.
 //   - Type tags are never reused or renumbered; retired types leave a
-//     hole in the tag space.
+//     hole in the tag space. Tags 1, 3 and 5 are such holes, and
+//     TestRetiredTagsRejected keeps every decoder refusing them.
 //   - Corrupt input must produce an error, never a panic; the fuzzers
 //     in fuzz_test.go enforce this.
 //
@@ -59,13 +65,12 @@ import (
 )
 
 // Type tags. Never renumber or reuse these: the tag is part of every
-// persisted encoding.
+// persisted encoding. Tags 1, 3 and 5 are retired (they framed butterfly
+// graphs, layout results and packaging plans, which nothing read); no
+// decoder accepts them and no new type may take them.
 const (
-	TypeGraph         byte = 1
 	TypeLayoutSpec    byte = 2
-	TypeLayoutResult  byte = 3
 	TypePackagingSpec byte = 4
-	TypePackagingPlan byte = 5
 	TypeFaultSpec     byte = 6
 	TypeRouteSpec     byte = 7
 	TypeRouteResult   byte = 8
@@ -73,7 +78,7 @@ const (
 	// Tags 10-12 belong to the checkpoint layer: the stack spec and
 	// checkpoint frames live in internal/snapshot and the sweep-farm
 	// journal record in internal/sweepfarm, all built on this package's
-	// Encoder/Decoder so the canonical-encoding contract carries over.
+	// Encoder and Decoder so the canonical-encoding contract carries over.
 	TypeSimSpec    byte = 10
 	TypeCheckpoint byte = 11
 	TypeSweepPoint byte = 12
@@ -81,11 +86,8 @@ const (
 
 // Current format versions, one per type tag.
 const (
-	VersionGraph         byte = 1
 	VersionLayoutSpec    byte = 1
-	VersionLayoutResult  byte = 1
 	VersionPackagingSpec byte = 1
-	VersionPackagingPlan byte = 1
 	VersionFaultSpec     byte = 1
 	VersionRouteSpec     byte = 1
 	VersionRouteResult   byte = 1
@@ -117,55 +119,75 @@ var (
 	ErrRange = errors.New("wire: value out of range")
 )
 
-// maxStringLen bounds every length-prefixed string; real descriptions
-// are tens of bytes.
-const maxStringLen = 1 << 16
+// maxBytesLen bounds a length-prefixed byte string, so a corrupt prefix
+// cannot force a huge allocation; the longest real one is a spec frame
+// embedded in a checkpoint.
+const maxBytesLen = 1 << 24
 
-// ---- encoder ----
-
-// enc accumulates a canonical encoding. The zero value is ready to use
-// after header.
-type enc struct {
+// Encoder accumulates a canonical frame. Every frame type encodes
+// through it: the ones in this package and the checkpoint layer's
+// (internal/snapshot, internal/sweepfarm), which so keep the same
+// canonical-encoding contract. Create with NewEncoder; read the bytes
+// with Encoding.
+type Encoder struct {
 	buf []byte
 }
 
-func newEnc(typ, version byte) *enc {
-	return &enc{buf: []byte{magic[0], magic[1], typ, version}}
+// NewEncoder starts a frame with the standard magic/tag/version header.
+func NewEncoder(typ, version byte) *Encoder {
+	return &Encoder{buf: []byte{magic[0], magic[1], typ, version}}
 }
 
-func (e *enc) uvarint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) varint(v int64)    { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) uint(v int)        { e.uvarint(uint64(v)) }
-func (e *enc) int(v int)         { e.varint(int64(v)) }
-func (e *enc) bool(v bool)       { e.buf = append(e.buf, boolByte(v)) }
-func (e *enc) float64(v float64) { e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v)) }
+// Uvarint appends a minimal-length unsigned varint.
+func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *enc) string(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
+// Varint appends a minimal-length zigzag varint.
+func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
-func boolByte(v bool) byte {
+// Uint appends a non-negative int as an unsigned varint.
+func (e *Encoder) Uint(v int) { e.Uvarint(uint64(v)) }
+
+// Int appends an int as a zigzag varint.
+func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
+
+// Bool appends one 0/1 byte.
+func (e *Encoder) Bool(v bool) {
+	var b byte
 	if v {
-		return 1
+		b = 1
 	}
-	return 0
+	e.buf = append(e.buf, b)
 }
 
-// ---- decoder ----
+// Float64 appends a big-endian IEEE-754 float64.
+func (e *Encoder) Float64(v float64) {
+	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
 
-// dec consumes a canonical encoding. The first error sticks; callers
-// check d.err once at the end (every getter returns a zero value after
-// an error).
-type dec struct {
+// Bytes appends a length-prefixed byte string, such as a whole frame
+// embedded in another.
+func (e *Encoder) Bytes(b []byte) {
+	e.Uvarint(uint64(len(b)))
+	e.buf = append(e.buf, b...)
+}
+
+// Encoding returns the encoding accumulated so far.
+func (e *Encoder) Encoding() []byte { return e.buf }
+
+// Decoder consumes a canonical frame. The first error sticks (every
+// getter returns a zero value after it); Finish rejects trailing bytes
+// and returns it.
+type Decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-// header validates the frame and positions the decoder at the body.
-func newDec(data []byte, typ, version byte) *dec {
-	d := &dec{buf: data}
+// NewDecoder validates the frame header (magic, tag, version) and
+// positions the decoder at the body. Header failures stick like any
+// other decode error.
+func NewDecoder(data []byte, typ, version byte) *Decoder {
+	d := &Decoder{buf: data}
 	if len(data) < 4 {
 		d.err = fmt.Errorf("%w: %d-byte input is shorter than the 4-byte header", ErrTruncated, len(data))
 		return d
@@ -186,16 +208,16 @@ func newDec(data []byte, typ, version byte) *dec {
 	return d
 }
 
-func (d *dec) fail(err error) {
+func (d *Decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
 }
 
-func (d *dec) rem() int { return len(d.buf) - d.off }
+func (d *Decoder) rem() int { return len(d.buf) - d.off }
 
-// uvarint reads a minimal-length unsigned varint.
-func (d *dec) uvarint() uint64 {
+// Uvarint reads a minimal-length unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -212,8 +234,8 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
-// varint reads a minimal-length zigzag varint.
-func (d *dec) varint() int64 {
+// Varint reads a minimal-length zigzag varint.
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -234,9 +256,9 @@ func (d *dec) varint() int64 {
 	return v
 }
 
-// uint reads a non-negative value that must fit in int.
-func (d *dec) uint() int {
-	v := d.uvarint()
+// Uint reads a non-negative value that must fit in int.
+func (d *Decoder) Uint() int {
+	v := d.Uvarint()
 	if d.err == nil && v > uint64(math.MaxInt) {
 		d.fail(fmt.Errorf("%w: %d overflows int", ErrRange, v))
 		return 0
@@ -244,9 +266,9 @@ func (d *dec) uint() int {
 	return int(v)
 }
 
-// int reads a signed value that must fit in int.
-func (d *dec) int() int {
-	v := d.varint()
+// Int reads a signed value that must fit in int.
+func (d *Decoder) Int() int {
+	v := d.Varint()
 	if d.err == nil && (v > math.MaxInt || v < math.MinInt) {
 		d.fail(fmt.Errorf("%w: %d overflows int", ErrRange, v))
 		return 0
@@ -254,7 +276,8 @@ func (d *dec) int() int {
 	return int(v)
 }
 
-func (d *dec) bool() bool {
+// Bool reads one 0/1 byte.
+func (d *Decoder) Bool() bool {
 	if d.err != nil {
 		return false
 	}
@@ -271,7 +294,8 @@ func (d *dec) bool() bool {
 	return b == 1
 }
 
-func (d *dec) float64() float64 {
+// Float64 reads a big-endian IEEE-754 float64, rejecting NaN.
+func (d *Decoder) Float64() float64 {
 	if d.err != nil {
 		return 0
 	}
@@ -288,29 +312,30 @@ func (d *dec) float64() float64 {
 	return v
 }
 
-func (d *dec) string() string {
-	n := d.uvarint()
+// Bytes reads a length-prefixed byte string into a fresh slice.
+func (d *Decoder) Bytes() []byte {
+	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	if n > maxStringLen {
-		d.fail(fmt.Errorf("%w: string length %d exceeds cap %d", ErrRange, n, maxStringLen))
-		return ""
+	if n > maxBytesLen {
+		d.fail(fmt.Errorf("%w: byte string length %d exceeds cap %d", ErrRange, n, maxBytesLen))
+		return nil
 	}
 	if uint64(d.rem()) < n {
-		d.fail(fmt.Errorf("%w: string of %d bytes with only %d remaining", ErrTruncated, n, d.rem()))
-		return ""
+		d.fail(fmt.Errorf("%w: byte string of %d bytes with only %d remaining", ErrTruncated, n, d.rem()))
+		return nil
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
 	d.off += int(n)
-	return s
+	return b
 }
 
-// listLen reads an element count and rejects counts that cannot fit in
+// ListLen reads an element count and rejects counts that cannot fit in
 // the remaining bytes (every element occupies at least minBytes), so a
 // corrupt length prefix cannot force a huge allocation.
-func (d *dec) listLen(minBytes int) int {
-	n := d.uvarint()
+func (d *Decoder) ListLen(minBytes int) int {
+	n := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
@@ -321,8 +346,12 @@ func (d *dec) listLen(minBytes int) int {
 	return int(n)
 }
 
-// finish rejects trailing bytes and returns the sticky error.
-func (d *dec) finish() error {
+// Err returns the sticky decode error, if any, without the
+// trailing-bytes check.
+func (d *Decoder) Err() error { return d.err }
+
+// Finish rejects trailing bytes and returns the sticky error.
+func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err
 	}

@@ -6,11 +6,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
-	"bfvlsi/internal/graph"
-	"bfvlsi/internal/grid"
-	"bfvlsi/internal/packaging"
 	"bfvlsi/internal/routing"
 )
 
@@ -28,10 +26,6 @@ type binaryCodec interface {
 // TestSampleCoverage requires.
 func sampleValues(t *testing.T) map[string]binaryCodec {
 	t.Helper()
-	g, err := GraphFromButterfly(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rr := RouteResult{
 		Nodes: 64, Injected: 100, Delivered: 95,
 		Throughput: 0.031, AvgLatency: 7.25, AvgHops: 6.5,
@@ -43,19 +37,11 @@ func sampleValues(t *testing.T) map[string]binaryCodec {
 		TotalInjected: 130, TotalDelivered: 118,
 	}
 	return map[string]binaryCodec{
-		"graph": g,
 		"layoutSpec": &LayoutSpec{
 			Family: FamilyThompson, Widths: []int{2, 2, 2},
 			Layers: 4, Multilayer: true, NodeSide: 6, NoTrackReorder: true,
 		},
-		"layoutResult": &LayoutResult{
-			Family: FamilyThompson,
-			Extras: []Extra{{Name: "blockWidth", Value: 41}, {Name: "gridCols", Value: 4}},
-		},
 		"packagingSpec": &PackagingSpec{N: 6, Variant: VariantNaive, RowsPerModule: 8},
-		"packagingPlan": &PackagingPlan{
-			Desc: "row partition", NumModules: 4, ModuleOf: []int{0, 1, 2, 3, 3, 2, 1, 0},
-		},
 		"faultSpec": &FaultSpec{
 			N: 5, LinkRate: 0.05, NodeRate: 0.01, Seed: -7,
 			TransientCount: 3, TransientHorizon: 100, TransientRepair: 20,
@@ -79,21 +65,6 @@ func sampleValues(t *testing.T) map[string]binaryCodec {
 			Family: FamilyStack3D, Widths: []int{2, 2, 2, 2}, SliceLayers: 2,
 		},
 		"layoutSpecHierarchy": &LayoutSpec{Family: FamilyHierarchy, N: 9, MaxPins: 64, ChipSide: 20},
-		"layoutResultStats": &LayoutResult{
-			Family: FamilyCollinear,
-			Stats: grid.Stats{
-				Width: 40, Height: 30, Area: 1200, Volume: 2400, Layers: 2,
-				MaxWireLength: 37, TotalWireLength: 911, Wires: 48, Nodes: 32, Vias: 64,
-			},
-			Extras: []Extra{{Name: "numTracks", Value: 16}},
-		},
-		"packagingPlanStats": &PackagingPlan{
-			Desc: "naive", NumModules: 2, ModuleOf: []int{0, 0, 1, 1},
-			Stats: packaging.Stats{
-				NumModules: 2, MinNodesPerModule: 1, MaxNodesPerModule: 3,
-				MaxOffLinksPerModu: 4, TotalCutLinks: 5, AvgOffLinksPerNode: 1.25,
-			},
-		},
 		"routeSpecBuffered": &RouteSpec{
 			N: 5, Lambda: 0.1, Warmup: 20, Cycles: 80, Seed: 1,
 			BufferLimit: 2, TTL: 40,
@@ -225,31 +196,6 @@ func TestDecodeRejectsNaN(t *testing.T) {
 	}
 }
 
-func TestGraphRoundTripMaterializes(t *testing.T) {
-	g, err := GraphFromButterfly(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := g.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Graph
-	if err := out.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if !graph.SameEdgeMultiset(g.ToGraph(), out.ToGraph(), false) {
-		t.Fatal("decoded graph is not the same edge multiset")
-	}
-}
-
-func TestGraphMarshalRejectsUnsortedEdges(t *testing.T) {
-	g := &Graph{NumNodes: 4, Edges: []graph.Edge{{U: 2, V: 3}, {U: 0, V: 1}}}
-	if _, err := g.MarshalBinary(); err == nil {
-		t.Fatal("unsorted edges marshaled")
-	}
-}
-
 func TestLayoutSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -285,8 +231,7 @@ func TestLayoutSpecValidate(t *testing.T) {
 	}
 }
 
-// Every family must actually build, and the result must re-encode
-// byte-identically (the cached-artifact invariant).
+// Every family must actually build.
 func TestLayoutSpecBuildAllFamilies(t *testing.T) {
 	specs := []LayoutSpec{
 		{Family: FamilyCollinear, N: 8},
@@ -307,21 +252,6 @@ func TestLayoutSpecBuildAllFamilies(t *testing.T) {
 			if res.Stats.Area <= 0 {
 				t.Fatalf("non-positive area %d", res.Stats.Area)
 			}
-			b1, err := res.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out LayoutResult
-			if err := out.UnmarshalBinary(b1); err != nil {
-				t.Fatal(err)
-			}
-			b2, err := out.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Fatal("layout result does not re-encode identically")
-			}
 		})
 	}
 }
@@ -331,9 +261,8 @@ func TestCollinearBuildTrackCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracks, ok := res.Extra("numTracks")
-	if !ok || tracks != 25 {
-		t.Fatalf("numTracks = %d (present %v), want floor(100/4) = 25", tracks, ok)
+	if want := (Extra{Name: "numTracks", Value: 25}); !slices.Contains(res.Extras, want) {
+		t.Fatalf("extras %v lack %v, floor(100/4) tracks", res.Extras, want)
 	}
 }
 
@@ -354,17 +283,6 @@ func TestPackagingSpecBuildVariants(t *testing.T) {
 			}
 			if len(plan.ModuleOf) != 7*64 {
 				t.Fatalf("ModuleOf has %d entries, want %d", len(plan.ModuleOf), 7*64)
-			}
-			b1, err := plan.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out PackagingPlan
-			if err := out.UnmarshalBinary(b1); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(&out, plan) {
-				t.Fatal("packaging plan decode mismatch")
 			}
 		})
 	}
